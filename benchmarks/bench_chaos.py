@@ -139,8 +139,7 @@ def reference_result(record: dict) -> dict:
     options.pop("faults", None)
     job_dir = tempfile.mkdtemp(prefix="chaos-ref-")
     try:
-        cfg = build_flow_config(options, job_dir=job_dir,
-                                default_workers=1, runs_dir=None)
+        cfg = build_flow_config(options, job_dir=job_dir, runs_dir=None)
         design = build_design(record["design"])
         result = NTUplace4H(cfg).run(
             design, route=bool(options.get("route", True))

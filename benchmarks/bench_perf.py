@@ -120,47 +120,6 @@ def run_bench(design_name: str, repeats: int, seed: int) -> dict:
     }
 
 
-def run_worker_sweep(design_name: str, seed: int, counts) -> dict:
-    """Route at each worker count; assert results match workers=1.
-
-    The parallel rip-up path is bit-identical by construction, so any
-    divergence fails the sweep rather than being recorded as data.
-    """
-    design = make_suite_design(design_name)
-    random_placement(design, seed=seed)
-    spec = design.routing
-    arrays = design.pin_arrays()
-    cx, cy = design.pull_centers()
-    counts = sorted(set(int(c) for c in counts) | {1})
-    sweep = []
-    base_result = None
-    base_wall = None
-    for w in counts:
-        clear_decompose_cache()
-        times, result = _time_route(
-            GlobalRouter(spec, workers=w), arrays, cx, cy, 1
-        )
-        if w == 1:
-            base_result = result
-            base_wall = times[0]
-            identical = True
-        else:
-            try:
-                _assert_identical(base_result, result)
-                identical = True
-            except AssertionError:
-                identical = False
-        sweep.append(
-            {
-                "workers": w,
-                "wall_s": round(times[0], 4),
-                "speedup": round(base_wall / times[0], 3) if times[0] > 0 else 0.0,
-                "identical": identical,
-            }
-        )
-    return {"sweep": sweep, "deterministic": True}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -174,30 +133,9 @@ def main(argv=None) -> int:
         "--trace-summary", metavar="PATH",
         help="write a traced optimized run's span/counter summary here",
     )
-    parser.add_argument(
-        "--workers-sweep", metavar="COUNTS",
-        help="comma-separated worker counts (e.g. 1,2,4): route at each, "
-        "assert identity vs workers=1, and add per-count scaling to the "
-        "record's 'parallel' section",
-    )
     args = parser.parse_args(argv)
 
     record = run_bench(args.design, max(1, args.repeats), args.seed)
-    if args.workers_sweep:
-        counts = [c for c in args.workers_sweep.split(",") if c.strip()]
-        record["parallel"] = run_worker_sweep(args.design, args.seed, counts)
-        record["identical_parallel_placements"] = all(
-            row["identical"] for row in record["parallel"]["sweep"]
-        )
-        record["host"]["workers"] = max(int(c) for c in counts)
-        if not record["identical_parallel_placements"]:
-            print("ERROR: parallel routing differs from workers=1", file=sys.stderr)
-            return 1
-        for row in record["parallel"]["sweep"]:
-            print(
-                f"  workers={row['workers']}: {row['wall_s']:.3f}s "
-                f"({row['speedup']:.2f}x)"
-            )
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

@@ -52,8 +52,7 @@ def _train_artifact(seed: int, designs: int) -> tuple[str, dict, float]:
     return path, artifact, train_s
 
 
-def _run_gp(design_name: str, estimator: str, model_path: str | None,
-            workers: int = 1):
+def _run_gp(design_name: str, estimator: str, model_path: str | None):
     """Place one fresh copy of the design; returns (wall, spans, report, design).
 
     The process-wide MST-decomposition memo is dropped first: it is keyed
@@ -67,7 +66,6 @@ def _run_gp(design_name: str, estimator: str, model_path: str | None,
     cfg = GPConfig(
         congestion_estimator=estimator,
         predict_model=model_path,
-        workers=workers,
     )
     tracer = Tracer()
     t0 = time.perf_counter()
@@ -159,33 +157,7 @@ def run_bench(design_name: str, repeats: int, seed: int, train_designs: int):
         ),
         "host": host_metadata(),
     }
-    return record, legs, tracer, model_path
-
-
-def run_worker_sweep(design_name: str, counts, model_path: str) -> dict:
-    """Hybrid placement at each worker count; bit-identity vs workers=1."""
-    counts = sorted(set(int(c) for c in counts) | {1})
-    sweep = []
-    base_state = None
-    base_wall = None
-    for w in counts:
-        wall, _, _, design, _ = _run_gp(design_name, "hybrid", model_path, workers=w)
-        state = _state(design)
-        if w == 1:
-            base_state, base_wall, identical = state, wall, True
-        else:
-            identical = np.array_equal(base_state[0], state[0]) and np.array_equal(
-                base_state[1], state[1]
-            )
-        sweep.append(
-            {
-                "workers": w,
-                "wall_s": round(wall, 4),
-                "speedup": round(base_wall / wall, 3) if wall > 0 else 0.0,
-                "identical": identical,
-            }
-        )
-    return {"sweep": sweep, "deterministic": True}
+    return record, legs, tracer
 
 
 def main(argv=None) -> int:
@@ -208,39 +180,15 @@ def main(argv=None) -> int:
         help="write the traced hybrid run's span/counter summary here",
     )
     parser.add_argument(
-        "--workers-sweep", metavar="COUNTS",
-        help="comma-separated worker counts (e.g. 1,2): run the hybrid "
-        "placement at each and assert bit-identity vs workers=1",
-    )
-    parser.add_argument(
         "--min-speedup", type=float, default=0.0,
         help="fail unless the inflation-loop speedup reaches this factor "
         "(timing-based: leave 0 on shared/noisy runners)",
     )
     args = parser.parse_args(argv)
 
-    record, _, tracer, model_path = run_bench(
+    record, _, tracer = run_bench(
         args.design, max(1, args.repeats), args.seed, args.train_designs
     )
-    # Reuse the already-trained artifact for the sweep.
-    if args.workers_sweep:
-        counts = [c for c in args.workers_sweep.split(",") if c.strip()]
-        record["parallel"] = run_worker_sweep(args.design, counts, model_path)
-        record["identical_parallel_placements"] = all(
-            row["identical"] for row in record["parallel"]["sweep"]
-        )
-        if not record["identical_parallel_placements"]:
-            print(
-                "ERROR: hybrid placements differ from workers=1",
-                file=sys.stderr,
-            )
-            return 1
-        for row in record["parallel"]["sweep"]:
-            print(
-                f"  workers={row['workers']}: {row['wall_s']:.3f}s "
-                f"({row['speedup']:.2f}x)"
-            )
-
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

@@ -48,10 +48,6 @@ except ImportError:
         "dp_pass_count": (0.0, 0.0),
         "legal_ok": (0.0, 0.0),
         "max_displacement": (0.02, 0.0),
-        "workers": (0.0, 0.0),
-        "parallel_identical": (0.0, 0.0),
-        "parallel_wall_s": (1e9, 1e9),
-        "parallel_speedup": (1e9, 1e9),
         "jobs_submitted": (0.0, 0.0),
         "jobs_done": (0.0, 0.0),
         "jobs_lost": (0.0, 0.0),
@@ -88,12 +84,10 @@ except ImportError:
         "predict_inflation_speedup": (1e9, 1e9),
     }
 # Flags that must be true in the fresh record for the gate to pass.
-# Each is checked only when present, so baselines produced without a
-# worker sweep keep gating records that do carry one (and vice versa).
+# Each is checked only when present.
 REQUIRED_FLAGS = (
     "identical_placements",
     "identical_metrics",
-    "identical_parallel_placements",
 )
 
 

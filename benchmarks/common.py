@@ -97,26 +97,16 @@ def run_quadratic(name: str):
     return design, result
 
 
-def host_metadata(workers: int | None = None) -> dict:
-    """Host/core facts stamped into bench records.
-
-    Parallel speedups are meaningless without knowing what they ran on,
-    so every BENCH JSON carries the physical/logical core counts (SMT
-    siblings collapse into one physical core) and, when given, the
-    worker count the record's parallel fields used.
-    """
+def host_metadata() -> dict:
+    """Host facts stamped into bench records: name and the logical CPUs
+    this process may run on."""
     import platform
 
-    from repro.parallel import logical_cores, physical_cores
-
-    meta = {
-        "hostname": platform.node(),
-        "physical_cores": physical_cores(),
-        "logical_cores": logical_cores(),
-    }
-    if workers is not None:
-        meta["workers"] = workers
-    return meta
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity API (macOS, Windows)
+        cores = os.cpu_count() or 1
+    return {"hostname": platform.node(), "logical_cores": cores}
 
 
 def print_banner(title: str) -> None:

@@ -159,23 +159,6 @@ class NTUplace4H:
         the checkpointed state.
         """
         cfg = self.config
-        # Propagate the flow-level parallelism knobs to sub-configs left
-        # at their defaults (an explicit per-stage setting wins).
-        if cfg.workers != 1:
-            if cfg.gp.workers == 1:
-                cfg.gp.workers = cfg.workers
-            if cfg.legal.workers == 1:
-                cfg.legal.workers = cfg.workers
-            if cfg.dp.workers == 1:
-                cfg.dp.workers = cfg.workers
-        if cfg.workers_pinned:
-            # Pinned counts are exact everywhere: no stage may widen
-            # itself from REPRO_WORKERS (multi-job hosts rely on this).
-            cfg.gp.workers_pinned = True
-            cfg.legal.workers_pinned = True
-            cfg.dp.workers_pinned = True
-        if not cfg.deterministic and cfg.gp.deterministic:
-            cfg.gp.deterministic = False
         tracer = get_tracer()
         # One metrics registry per run: back-to-back runs under the same
         # tracer must not accumulate each other's series (streamed
@@ -418,8 +401,6 @@ class NTUplace4H:
                                 maze_rounds=cfg.route_maze_rounds,
                                 max_maze_nets=cfg.route_max_maze_nets,
                                 cost_refresh=cfg.route_cost_refresh,
-                                workers=cfg.workers,
-                                workers_pinned=cfg.workers_pinned,
                             )
                             rr = router.route(
                                 design, should_stop=watchdog.expired

@@ -26,7 +26,6 @@ from repro.gp.orient import optimize_macro_orientations
 from repro.grids import BinGrid
 from repro.obs import configure_logging, get_logger, get_tracer
 from repro.optim import minimize_cg
-from repro.parallel import resolve_workers
 from repro.resilience.faults import check_fault, fault_armed
 from repro.resilience.guards import NumericalGuard, all_finite
 from repro.wirelength import hpwl as exact_hpwl
@@ -100,7 +99,6 @@ class GlobalPlacer:
 
     def __init__(self, config: GPConfig | None = None):
         self.config = config or GPConfig()
-        self._cleanups: list = []
 
     # ------------------------------------------------------------------
     def place(
@@ -143,24 +141,12 @@ class GlobalPlacer:
                 )
                 clustered.transfer_positions()
 
-        # Parallel-execution resources (worker pool + shared memory)
-        # registered by _place_flat; released here even when the descent
-        # raises or a watchdog expires so no segments leak.
-        self._cleanups: list = []
-        try:
-            flat = self._place_flat(
-                design,
-                report,
-                warm=bool(report.coarse_iterations) or warm_start,
-                watchdog=watchdog,
-            )
-        finally:
-            for cleanup in self._cleanups:
-                try:
-                    cleanup()
-                except Exception:  # cleanup must never mask the descent
-                    pass
-            self._cleanups = []
+        flat = self._place_flat(
+            design,
+            report,
+            warm=bool(report.coarse_iterations) or warm_start,
+            watchdog=watchdog,
+        )
         report.final_hpwl = design.hpwl()
         report.final_overflow = flat
         report.runtime_seconds = time.perf_counter() - t0
@@ -246,31 +232,6 @@ class GlobalPlacer:
             gamma,
             reference=cfg.reference,
         )
-
-        # Multi-core density/wirelength evaluation.  The facades are
-        # drop-ins: with deterministic=True every reduction happens in
-        # the parent in serial order, so the descent below is bit-
-        # identical to workers=1 (reference mode always stays serial —
-        # the golden paths never fork).
-        workers = (
-            1
-            if cfg.reference
-            else resolve_workers(cfg.workers, env=not cfg.workers_pinned)
-        )
-        if workers > 1:
-            from repro.parallel.gp import ParallelGP
-
-            par_gp = ParallelGP.create(
-                density,
-                wl_model,
-                workers=workers,
-                deterministic=cfg.deterministic,
-                kind=cfg.wirelength_model.lower(),
-            )
-            if par_gp is not None:
-                self._cleanups.append(par_gp.close)
-                density = par_gp.density
-                wl_model = par_gp.wl_model
 
         # Bounds for the projection (centre coordinates).
         half_w = widths[mov] / 2.0

@@ -12,7 +12,6 @@ from repro.legal.macro_legal import legalize_macros
 from repro.legal.subrows import SubRowMap
 from repro.legal.tetris import tetris_legalize
 from repro.obs import get_tracer
-from repro.parallel import resolve_workers
 
 
 @dataclass
@@ -31,14 +30,6 @@ class LegalConfig:
     # paths.  Results are bit-identical either way — CI and the
     # equivalence tests assert it.
     reference: bool = False
-    # Worker processes for the row-parallel Abacus refinement and the
-    # fence-domain-parallel Tetris assignment (repro.parallel.legal).
-    # 1 = serial (REPRO_WORKERS env can override), 0 = one per CPU; the
-    # parallel paths are bit-identical to serial by construction.
-    workers: int = 1
-    # True = use ``workers`` exactly, ignoring REPRO_WORKERS (multi-job
-    # hosts pin per-job counts so concurrent flows cannot oversubscribe).
-    workers_pinned: bool = False
 
 
 @dataclass
@@ -68,7 +59,6 @@ class Legalizer:
         row_probe: int | None = None,
         tetris_only: bool | None = None,
         reference: bool | None = None,
-        workers: int | None = None,
     ):
         cfg = config or LegalConfig()
         # Keyword overrides keep the historical constructor working.
@@ -80,15 +70,11 @@ class Legalizer:
             cfg = replace(cfg, tetris_only=tetris_only)
         if reference is not None:
             cfg = replace(cfg, reference=reference)
-        if workers is not None:
-            cfg = replace(cfg, workers=workers)
         self.config = cfg
         self.macro_channel = cfg.macro_channel
         self.row_probe = cfg.row_probe
         self.tetris_only = cfg.tetris_only
         self.reference = cfg.reference
-        self.workers = cfg.workers
-        self.workers_pinned = cfg.workers_pinned
 
     def legalize(self, design: Design) -> LegalizeResult:
         tracer = get_tracer()
@@ -98,38 +84,22 @@ class Legalizer:
         }
         with tracer.span("macro_legal"):
             macros_moved = legalize_macros(design, channel=self.macro_channel)
-        pool = None
-        workers = (
-            1
-            if self.reference
-            else resolve_workers(self.workers, env=not self.workers_pinned)
-        )
-        try:
-            with tracer.span("tetris"):
-                submap = SubRowMap(design)
-                if workers > 1 and len(submap.subrows) >= 2 * workers:
-                    from repro.parallel import WorkerPool
-
-                    pool = WorkerPool(workers, label="legal")
-                tetris_legalize(
+        with tracer.span("tetris"):
+            submap = SubRowMap(design)
+            tetris_legalize(
+                design,
+                submap,
+                row_probe=self.row_probe,
+                reference=self.reference,
+            )
+        if not self.tetris_only:
+            with tracer.span("abacus"):
+                abacus_refine(
                     design,
                     submap,
-                    row_probe=self.row_probe,
+                    {i: xy[0] for i, xy in desired.items()},
                     reference=self.reference,
-                    pool=pool,
                 )
-            if not self.tetris_only:
-                with tracer.span("abacus"):
-                    abacus_refine(
-                        design,
-                        submap,
-                        {i: xy[0] for i, xy in desired.items()},
-                        reference=self.reference,
-                        pool=pool,
-                    )
-        finally:
-            if pool is not None:
-                pool.close()
         total = 0.0
         worst = 0.0
         for node in design.nodes:

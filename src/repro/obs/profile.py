@@ -149,25 +149,6 @@ class SamplingProfiler:
         if self.started_at is not None:
             self.wall_s += time.perf_counter() - self.started_at
             self.started_at = None
-        self._merge_worker_cpu()
-
-    def _merge_worker_cpu(self) -> None:
-        """Fold pool-worker CPU seconds in as ``workers[*]`` rows.
-
-        Child processes are invisible to ``sys._current_frames`` (and to
-        the parent's ``time.process_time``); the pools report per-task
-        CPU deltas back with every reply, keyed by pool label, and this
-        charges them to a synthetic ``workers[*]`` stage so the report
-        shows where multi-core time actually went.
-        """
-        try:
-            from repro.parallel import drain_worker_cpu
-        except Exception:
-            return
-        for label, seconds in drain_worker_cpu().items():
-            key = ("workers[*]", label)
-            with self._lock:
-                self._counts[key] = self._counts.get(key, 0.0) + seconds
 
     def __enter__(self) -> "SamplingProfiler":
         return self.start()

@@ -12,9 +12,9 @@ into a long-running service (ROADMAP item: production-scale serving):
 * :mod:`repro.serve.journal` — the append-only journal itself plus the
   invariant checker the chaos harness gates on.
 * :mod:`repro.serve.worker` — the per-process job runner: builds the
-  design, runs the flow with pinned per-job workers, streams progress
-  via a live JSONL trace, heartbeats, honours cooperative cancel, and
-  resumes crashed attempts from their last stage checkpoint.
+  design, runs the flow, streams progress via a live JSONL trace,
+  heartbeats, honours cooperative cancel, and resumes crashed attempts
+  from their last stage checkpoint.
 * :mod:`repro.serve.engine` — the worker supervisor: crash/stall/
   timeout requeue with bounded retries, cancel escalation, respawn,
   and graceful drain.

@@ -36,7 +36,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.obs import get_logger
 from repro.serve.store import JobStore, JobStoreError
@@ -62,9 +62,6 @@ class ServeSettings:
     cancel_grace: float = 5.0
     #: Monitor-thread poll cadence, seconds.
     monitor_interval: float = 0.25
-    #: Default per-job flow worker count (jobs may override; always
-    #: pinned, so REPRO_WORKERS never multiplies across jobs).
-    default_job_workers: int = 1
     #: Optional run-registry directory: every completed job also lands
     #: in ``repro runs`` history.
     runs_dir: str | None = None
@@ -167,7 +164,7 @@ class WorkerSupervisor:
                 self.settings.worker_settings(os.getpid()),
             ),
             name=f"repro-serve-{worker_id}",
-            daemon=False,  # workers spawn their own WorkerPool children
+            daemon=False,
         )
         proc.start()
         return proc

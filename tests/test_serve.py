@@ -2,8 +2,8 @@
 
 Covers the store's transactional semantics (the claim, attempt-scoped
 write guards, bounded requeues), the job-record schema, the per-job
-worker pinning that keeps concurrent jobs from oversubscribing cores,
-and the supervisor's crash/cancel reliability loop end to end —
+flow config, and the supervisor's crash/cancel reliability loop end to
+end —
 including the two failure drills the engine exists for: a worker
 killed mid-flow whose job resumes bit-identically from its checkpoint,
 and a cancel during routing that leaves no shared-memory segment
@@ -21,7 +21,6 @@ import time
 import pytest
 
 from repro.benchgen import BenchmarkSpec, make_benchmark
-from repro.parallel import resolve_workers
 from repro.serve import (
     JobServer,
     JobStore,
@@ -297,31 +296,20 @@ class TestJobStore:
             assert stamps == sorted(stamps)
 
 
-class TestWorkerPinning:
-    def test_resolve_workers_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "8")
-        assert resolve_workers(1) == 8
-        assert resolve_workers(1, env=False) == 1
+class TestBuildFlowConfig:
+    def test_flow_run_leaves_stage_configs_untouched(self, tmp_path):
+        from dataclasses import asdict
 
-    def test_build_flow_config_pins_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "16")
-        cfg = build_flow_config({}, job_dir=str(tmp_path), default_workers=1)
-        assert cfg.workers == 1
-        assert cfg.workers_pinned is True
-        assert cfg.checkpoint_dir == str(tmp_path / "checkpoint")
-
-    def test_pin_propagates_to_stage_configs(self, tmp_path):
         from repro.flow import NTUplace4H
 
         cfg = build_flow_config(
             {"run_dp": False, "config": {"gp.max_outer_iterations": 2}},
             job_dir=str(tmp_path),
         )
-        flow = NTUplace4H(cfg)
-        flow.run(make_benchmark(BenchmarkSpec(**SPEC)), route=False)
-        assert cfg.gp.workers_pinned is True
-        assert cfg.legal.workers_pinned is True
-        assert cfg.dp.workers_pinned is True
+        assert cfg.checkpoint_dir == str(tmp_path / "checkpoint")
+        before = asdict(cfg)
+        NTUplace4H(cfg).run(make_benchmark(BenchmarkSpec(**SPEC)), route=False)
+        assert asdict(cfg) == before
 
     def test_config_override_type_checked(self, tmp_path):
         with pytest.raises(ValueError, match="unknown flow-config"):
@@ -409,7 +397,7 @@ class TestServeEngine:
         before = _shm_segments()
         record = store.submit(
             {"spec": spec},
-            options={"route": True, "run_dp": False, "workers": 2,
+            options={"route": True, "run_dp": False,
                      "config": {"gp.max_outer_iterations": 4}},
         )
         job_id = record["job_id"]

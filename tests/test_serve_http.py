@@ -89,6 +89,22 @@ class TestHealthAndErrors:
             client.submit({"spec": SPEC}, options={"banana": 1})
         assert exc.value.status == 400
 
+    def test_submit_workers_option_refused_like_unknown(self, parked):
+        """``workers`` is not a job option (the flow runs in one
+        process), so it is refused exactly like any unknown key."""
+        _, client = parked
+        refusals = {}
+        for key in ("banana", "workers"):
+            with pytest.raises(ServeAPIError) as exc:
+                client.submit({"spec": SPEC}, options={key: 1})
+            refusals[key] = (
+                exc.value.status,
+                exc.value.message.replace(key, "<key>"),
+            )
+        assert refusals["workers"] == refusals["banana"]
+        assert "workers" in str(exc.value.message)
+        assert client.list() == []
+
 
 class TestQueuedLifecycle:
     def test_submit_returns_queued_record(self, parked):
