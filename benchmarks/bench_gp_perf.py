@@ -10,7 +10,7 @@ baseline) and once on the optimized hot paths — verifies the two produce
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_gp_perf.py                  # rh04
-    PYTHONPATH=src python benchmarks/bench_gp_perf.py --design rh01 \
+    PYTHONPATH=src python benchmarks/bench_gp_perf.py --design rh02 \
         --repeats 1 --out BENCH_gp.json --trace-summary trace.txt
 
 Placement wall time on one design varies run to run (allocator state,

@@ -13,7 +13,7 @@ so any drift means behaviour changed.
 Usage::
 
     PYTHONPATH=src python benchmarks/check_regression.py \
-        --bench BENCH_gp.json --baseline benchmarks/baselines/BENCH_gp_rh01.json
+        --bench BENCH_gp.json --baseline benchmarks/baselines/BENCH_gp_rh02.json
 
 Drift in *either* direction fails the gate: an improvement is a reason
 to re-baseline intentionally (run the bench, inspect, commit the new

@@ -21,16 +21,26 @@ sliced path.  Fixed objects enter through the *target*: their exact overlap
 is subtracted from each bin's free capacity.
 
 Hot-path layout: this is the single most evaluated kernel of global
-placement (every CG line-search probe computes one potential and one
-gradient), so the optimized path (the default) keeps all window-sweep
-intermediates in preallocated buffers, scatters the potential with
-``np.bincount`` over flattened bin indices (bit-identical to
-``np.add.at``, several times faster), precomputes the per-node kernel
-coefficients once, and walks large nodes with plain-slice views and a
-lean scalar-coefficient kernel.  ``BellDensity(..., reference=True)``
-keeps the original allocating implementation verbatim as the golden
-baseline; ``tests/test_gp_perf_equiv.py`` asserts both modes agree to the
-last bit.
+placement (every CG line-search probe computes one potential; only
+accepted probes go on to the gradient), so the optimized path (the
+default) keeps all window-sweep intermediates in preallocated buffers
+and precomputes the per-node kernel coefficients once.  A probe builds
+the x and y windows of all small nodes as one node-minor
+``(kx+ky, n)`` batch, so every elementwise op runs one long inner loop;
+it evaluates the kernel values only, with no beyond-support mask
+(see :meth:`BellDensity._bell_value`) and with off-grid cells sent to
+distance +inf instead of masked afterwards.  It then copies the values
+node-major for the per-node sums, forms the per-bin contributions
+node-minor and scatters them in node-major order with one
+``np.bincount`` (bit-identical to ``np.add.at``, several times faster).
+The kernel derivatives wait for the gradient pass, which reuses the
+probe's kernel sums.  Large nodes are walked with plain-slice views and
+a lean scalar-coefficient kernel.  Every product and sum keeps the
+reference's operands and reduction order, so
+``BellDensity(..., reference=True)``, the original allocating
+implementation kept verbatim as the golden baseline, agrees with the
+default to the last bit (``tests/test_gp_perf_equiv.py`` and
+``tests/test_density.py``).
 """
 
 from __future__ import annotations
@@ -135,35 +145,47 @@ class BellDensity:
         else:
             self._kx = self._ky = 0
         # Optimized-path precomputation: node-constant kernel coefficients
-        # for the fused x|y window batch (columns ``0:kx`` carry the x-axis
-        # coefficients, ``kx:kx+ky`` the y-axis ones, so one kernel batch
-        # covers both axes) and the stacked coefficient columns of the
-        # batched large-node path.
+        # for the fused x|y window batch, laid out node-minor (rows ``0:kx``
+        # carry the x-axis coefficients, ``kx:kx+ky`` the y-axis ones, one
+        # column per node, so one kernel batch covers both axes in long
+        # inner loops), the per-row grid constants of that batch, and the
+        # stacked coefficient columns of the batched large-node path.
         if len(small) and not self.reference:
-            w = self.widths[small][:, None]
-            h = self.heights[small][:, None]
-            self._sm_rx = w / 2.0 + 2.0 * wb
-            self._sm_ry = h / 2.0 + 2.0 * hb
+            grid = self.grid
+            w = self.widths[small]
+            h = self.heights[small]
             kx, ky = self._kx, self._ky
-            kt = kx + ky
-            n = len(small)
 
             def fused(colx, coly):
-                arr = np.empty((n, kt))
-                arr[:, :kx] = colx
-                arr[:, kx:] = coly
-                return arr
+                return np.vstack([np.tile(colx, (kx, 1)), np.tile(coly, (ky, 1))])
 
             ax = 4.0 / ((w + 2.0 * wb) * (w + 4.0 * wb))
             bx = 2.0 / (wb * (w + 4.0 * wb))
             ay = 4.0 / ((h + 2.0 * hb) * (h + 4.0 * hb))
             by = 2.0 / (hb * (h + 4.0 * hb))
+            self._sm_reach = np.vstack([w / 2.0 + 2.0 * wb, h / 2.0 + 2.0 * hb])
             self._sm_r1 = fused(w / 2.0 + wb, h / 2.0 + hb)
             self._sm_r2 = fused(w / 2.0 + 2.0 * wb, h / 2.0 + 2.0 * hb)
             self._sm_a = fused(ax, ay)
             self._sm_b = fused(bx, by)
             self._sm_m2a = fused(-2.0 * ax, -2.0 * ay)
             self._sm_b2 = fused(2.0 * bx, 2.0 * by)
+            origin = np.array([[grid.area.xl], [grid.area.yl]], dtype=float)
+            pitch = np.array([[wb], [hb]])
+            self._sm_origin = origin
+            self._sm_pitch = pitch
+            self._sm_row_origin = np.repeat(origin, [kx, ky], axis=0)
+            self._sm_row_pitch = np.repeat(pitch, [kx, ky], axis=0)
+            # A window index is on the grid iff, read as unsigned, it is
+            # below its axis' bin count (negative ones wrap above it).
+            self._sm_row_bins = np.repeat(
+                np.array([[grid.nx], [grid.ny]], dtype=np.uint64), [kx, ky], axis=0
+            )
+            # Flat bin of window cell (k, l) relative to the window corner.
+            self._sm_flat_step = (
+                np.arange(kx, dtype=np.int64)[:, None] * grid.ny
+                + np.arange(ky, dtype=np.int64)[None, :]
+            ).reshape(-1)
         self._lg_idx = large
         if len(large) and not self.reference:
             wl = self.widths[large]
@@ -229,113 +251,99 @@ class BellDensity:
             self._aranges[n] = rng
         return rng
 
-    def _bell_batch(self, d, r1, r2, a, m2a, b, b2, p, dp, prefix):
-        """Buffered batched kernel; bit-identical to :func:`bell_kernel`."""
+    def _bell_value(self, d, r1, r2, a, b, p, prefix):
+        """Kernel values ``p`` at distances ``d``, bit-identical to
+        :func:`bell_kernel`.
+
+        The outer piece is evaluated on ``min(|d|, r2)``: beyond the
+        support that offset is exactly +0, so ``b*q*q`` is the +0 the
+        reference writes there and only the inner piece needs a mask.
+        ``|d|``, the offset and the inner mask stay in ``prefix`` buffers
+        for :meth:`_bell_slope`.
+        """
         shape = d.shape
-        sgn = self._buf(prefix + "_sgn", shape)
         ad = self._buf(prefix + "_ad", shape)
         q = self._buf(prefix + "_q", shape)
-        m1 = self._buf(prefix + "_m1", shape, dtype=bool)
-        m2 = self._buf(prefix + "_m2", shape, dtype=bool)
-        np.sign(d, out=sgn)
+        inner = self._buf(prefix + "_in", shape, dtype=bool)
+        t = self._buf(prefix + "_t", shape)
         np.abs(d, out=ad)
-        # inner piece: p = 1 - a*ad*ad, dp = (-2a)*ad
-        np.less_equal(ad, r1, out=m1)
-        np.multiply(a, ad, out=p)
-        p *= ad
-        np.subtract(1.0, p, out=p)
-        np.multiply(m2a, ad, out=dp)
-        np.logical_not(m1, out=m2)
-        np.copyto(p, 0.0, where=m2)
-        np.copyto(dp, 0.0, where=m2)
-        # outer piece: p = b*(ad - r2)^2, dp = (2b)*(ad - r2)
-        np.greater(ad, r1, out=m1)
-        np.less_equal(ad, r2, out=m2)
-        np.logical_and(m1, m2, out=m1)
-        np.subtract(ad, r2, out=q)
-        np.multiply(q, q, out=ad)              # ad now scratch
-        np.multiply(b, ad, out=ad)
-        np.copyto(p, ad, where=m1)
-        np.multiply(b2, q, out=q)
-        np.copyto(dp, q, where=m1)
+        np.less_equal(ad, r1, out=inner)
+        np.minimum(ad, r2, out=q)
+        q -= r2
+        # outer piece: p = b*(ad - r2)^2
+        np.multiply(q, q, out=p)
+        p *= b
+        # inner piece: p = 1 - a*ad*ad
+        np.multiply(a, ad, out=t)
+        t *= ad
+        np.subtract(1.0, t, out=t)
+        np.copyto(p, t, where=inner)
+
+    def _bell_slope(self, d, m2a, b2, dp, prefix):
+        """Kernel derivatives at the distances of the last
+        :meth:`_bell_value` call with the same ``prefix``."""
+        ad = self._bufs[prefix + "_ad"]
+        t = self._bufs[prefix + "_t"]
+        sgn = self._buf(prefix + "_sgn", d.shape)
+        np.sign(d, out=sgn)
+        # outer piece: dp = (2b)*(ad - r2); inner piece: dp = (-2a)*ad
+        np.multiply(b2, self._bufs[prefix + "_q"], out=dp)
+        np.multiply(m2a, ad, out=t)
+        np.copyto(dp, t, where=self._bufs[prefix + "_in"])
         dp *= sgn
 
     # ------------------------------------------------------------------
     def _small_window(self, cx: np.ndarray, cy: np.ndarray):
-        """Window tables and per-bin contributions for this instance's
-        small nodes.
+        """Window kernels and per-bin contributions of the small nodes.
 
-        Every operation is per-node-row independent.  Returns
-        ``(flat, px, dpx, py, dpy, norm, contrib)``; the caller owns the
-        scatter/reduction of ``contrib`` into the field.
+        Every operation is per-node independent.  Returns
+        ``(flat, px, py, norm, contrib)`` with node-major ``(n, k)``
+        kernel tables; the caller owns the scatter of ``contrib`` into the
+        field.  Window cells that fall off the grid get the distance +inf,
+        so their kernel value and derivative are the exact +0 the
+        reference masks in; their ``flat`` index is only clamped into
+        range, because a +0 weight leaves every bin sum and every gradient
+        product unchanged wherever it lands.  The kernel derivatives are
+        left to :meth:`_small_grad`.
         """
         grid = self.grid
-        idx = self._small
-        n = len(idx)
+        n = len(self._small)
         kx, ky = self._kx, self._ky
-        wb, hb = grid.bin_w, grid.bin_h
-        u = self._buf("u", (n, 1))
-        v = self._buf("v", (n, 1))
-        np.take(cx, idx, out=u[:, 0])
-        np.take(cy, idx, out=v[:, 0])
-        # ix0 = ceil((u - rx - xl)/wb - 0.5), per node
-        t = self._buf("t", (n, 1))
-        np.subtract(u, self._sm_rx, out=t)
-        t -= grid.area.xl
-        t /= wb
-        t -= 0.5
-        np.ceil(t, out=t)
-        ix0 = self._buf("ix0", (n, 1), dtype=np.int64)
-        np.copyto(ix0, t, casting="unsafe")
-        np.subtract(v, self._sm_ry, out=t)
-        t -= grid.area.yl
-        t /= hb
-        t -= 0.5
-        np.ceil(t, out=t)
-        iy0 = self._buf("iy0", (n, 1), dtype=np.int64)
-        np.copyto(iy0, t, casting="unsafe")
-        ix_all = self._buf("ix_all", (n, kx), dtype=np.int64)
-        iy_all = self._buf("iy_all", (n, ky), dtype=np.int64)
-        np.add(ix0, self._arange(kx), out=ix_all)
-        np.add(iy0, self._arange(ky), out=iy_all)
-        # bin centres, then signed distances, then kernels; the x and y
-        # windows share one fused (n, kx+ky) batch so the kernel's op
-        # sequence runs once instead of per axis.
         kt = kx + ky
-        d_all = self._buf("d_all", (n, kt))
-        dx = d_all[:, :kx]
-        dy = d_all[:, kx:]
-        np.add(ix_all, 0.5, out=dx)
-        dx *= wb
-        dx += grid.area.xl                 # bin_cx
-        np.subtract(u, dx, out=dx)         # u - bin_cx
-        np.add(iy_all, 0.5, out=dy)
-        dy *= hb
-        dy += grid.area.yl
-        np.subtract(v, dy, out=dy)
-        p_all = self._buf("p_all", (n, kt))
-        dp_all = self._buf("dp_all", (n, kt))
-        self._bell_batch(
-            d_all, self._sm_r1, self._sm_r2, self._sm_a, self._sm_m2a,
-            self._sm_b, self._sm_b2, p_all, dp_all, "k",
-        )
-        px = p_all[:, :kx]
-        dpx = dp_all[:, :kx]
-        py = p_all[:, kx:]
-        dpy = dp_all[:, kx:]
-        # zero window columns that fall off the grid
-        mvx = self._buf("kx_m1", (n, kx), dtype=bool)
-        mvy = self._buf("ky_m1", (n, ky), dtype=bool)
-        np.less(ix_all, 0, out=mvx)
-        np.greater_equal(ix_all, grid.nx, out=self._buf("kx_m2", (n, kx), dtype=bool))
-        np.logical_or(mvx, self._bufs["kx_m2"], out=mvx)
-        np.copyto(px, 0.0, where=mvx)
-        np.copyto(dpx, 0.0, where=mvx)
-        np.less(iy_all, 0, out=mvy)
-        np.greater_equal(iy_all, grid.ny, out=self._buf("ky_m2", (n, ky), dtype=bool))
-        np.logical_or(mvy, self._bufs["ky_m2"], out=mvy)
-        np.copyto(py, 0.0, where=mvy)
-        np.copyto(dpy, 0.0, where=mvy)
+        # window corner: ceil((c - reach - origin)/pitch - 0.5), per axis
+        c = self._buf("c", (2, n))
+        np.take(cx, self._small, out=c[0])
+        np.take(cy, self._small, out=c[1])
+        t = self._buf("t", (2, n))
+        np.subtract(c, self._sm_reach, out=t)
+        t -= self._sm_origin
+        t /= self._sm_pitch
+        t -= 0.5
+        np.ceil(t, out=t)
+        i0 = self._buf("i0", (2, n), dtype=np.int64)
+        np.copyto(i0, t, casting="unsafe")
+        # window bin indices, off-grid mask and signed distances to the
+        # bin centres, x and y windows fused in one (kx+ky, n) batch
+        win = self._buf("win", (kt, n), dtype=np.int64)
+        np.add(self._arange(kx)[:, None], i0[0], out=win[:kx])
+        np.add(self._arange(ky)[:, None], i0[1], out=win[kx:])
+        off = self._buf("off", (kt, n), dtype=bool)
+        np.greater_equal(win.view(np.uint64), self._sm_row_bins, out=off)
+        d = self._buf("d", (kt, n))
+        np.add(win, 0.5, out=d)
+        d *= self._sm_row_pitch
+        d += self._sm_row_origin               # bin centres
+        np.subtract(c[0], d[:kx], out=d[:kx])
+        np.subtract(c[1], d[kx:], out=d[kx:])
+        np.copyto(d, np.inf, where=off)
+        pt = self._buf("pt", (kt, n))
+        self._bell_value(d, self._sm_r1, self._sm_r2, self._sm_a, self._sm_b, pt, "k")
+        # node-major tables: the kernel sums (and the gradient's window
+        # sums) must reduce each node's row exactly as the reference does
+        p = self._buf("p", (n, kt))
+        np.copyto(p, pt.T)
+        px = p[:, :kx]
+        py = p[:, kx:]
         # normalization: area / (Sx * Sy), guarded
         sum_px = self._buf("sum_px", (n,))
         sum_py = self._buf("sum_py", (n,))
@@ -351,23 +359,31 @@ class BellDensity:
         mnz = self._buf("mnz", (n,), dtype=bool)
         np.less_equal(mass, 0.0, out=mnz)
         np.copyto(norm, 0.0, where=mnz)
-        # One flattened bincount instead of Kx*Ky scatter passes.
-        np.clip(ix_all, 0, grid.nx - 1, out=ix_all)
-        np.clip(iy_all, 0, grid.ny - 1, out=iy_all)
-        ix_all *= grid.ny
-        flat = self._buf("flat", (n, kx, ky), dtype=np.int64)
-        np.add(ix_all[:, :, None], iy_all[:, None, :], out=flat)
-        t2 = self._buf("t2", (n, kx))
-        np.multiply(norm[:, None], px, out=t2)
-        contrib = self._buf("contrib", (n, kx, ky))
-        np.multiply(t2[:, :, None], py[:, None, :], out=contrib)
-        return flat, px, dpx, py, dpy, norm, contrib
+        # flat bin index of every window cell, for one bincount scatter;
+        # read as unsigned, negative indices clamp to the last bin too
+        corner = self._buf("corner", (n,), dtype=np.int64)
+        np.multiply(i0[0], grid.ny, out=corner)
+        corner += i0[1]
+        flat = self._buf("flat", (n, kx * ky), dtype=np.int64)
+        np.add(corner[:, None], self._sm_flat_step, out=flat)
+        flat_u = flat.view(np.uint64)
+        np.minimum(flat_u, np.uint64(grid.nx * grid.ny - 1), out=flat_u)
+        # contrib = (norm*px) (x) py, formed node-minor so every product
+        # runs one long inner loop, then copied to the node-major order
+        # the bincount must sum in
+        nxt = self._buf("nxt", (kx, n))
+        np.multiply(norm, pt[:kx], out=nxt)
+        ct = self._buf("ct", (kx, ky, n))
+        np.multiply(nxt[:, None, :], pt[None, kx:], out=ct)
+        contrib = self._buf("contrib", (n, kx * ky))
+        np.copyto(contrib.reshape(n, kx, ky), ct.transpose(2, 0, 1))
+        return flat, px, py, norm, contrib
 
     def potential(self, cx: np.ndarray, cy: np.ndarray):
         """The bin potential field and the per-node kernel tables.
 
         Returns ``(phi, small_tables, large_tables)``; the tables carry
-        everything the gradient pass needs so kernels are evaluated once.
+        what the gradient pass needs so kernels are evaluated once.
         """
         if self.reference:
             return self._potential_reference(cx, cy)
@@ -375,12 +391,12 @@ class BellDensity:
         small_tables = None
         phi = None
         if len(self._small):
-            flat, px, dpx, py, dpy, norm, contrib = self._small_window(cx, cy)
+            flat, px, py, norm, contrib = self._small_window(cx, cy)
             phi = np.bincount(
                 flat.reshape(-1), weights=contrib.reshape(-1),
                 minlength=grid.nx * grid.ny,
             ).reshape(grid.nx, grid.ny)
-            small_tables = (self._small, flat, px, dpx, py, dpy, norm)
+            small_tables = (self._small, flat, px, py, norm)
         if phi is None:
             phi = grid.zeros()
         return phi, small_tables, self._large_batch(phi, cx, cy)
@@ -446,16 +462,16 @@ class BellDensity:
         dpx = self._buf("lg_dpx", (m, Lx))
         py = self._buf("lg_py", (m, Ly))
         dpy = self._buf("lg_dpy", (m, Ly))
-        self._bell_batch(
+        self._bell_value(
             dx, take(self._lg_r1x), take(self._lg_r2x), take(self._lg_ax),
-            take(self._lg_m2ax), take(self._lg_bx), take(self._lg_b2x),
-            px, dpx, "lgx",
+            take(self._lg_bx), px, "lgx",
         )
-        self._bell_batch(
+        self._bell_slope(dx, take(self._lg_m2ax), take(self._lg_b2x), dpx, "lgx")
+        self._bell_value(
             dy, take(self._lg_r1y), take(self._lg_r2y), take(self._lg_ay),
-            take(self._lg_m2ay), take(self._lg_by), take(self._lg_b2y),
-            py, dpy, "lgy",
+            take(self._lg_by), py, "lgy",
         )
+        self._bell_slope(dy, take(self._lg_m2ay), take(self._lg_b2y), dpy, "lgy")
         nodes = (idxl if full else idxl[sub]).tolist()
         ix0l, ix1l = ix0v.tolist(), ix1v.tolist()
         iy0l, iy1l = iy0v.tolist(), iy1v.tolist()
@@ -600,13 +616,22 @@ class BellDensity:
     def _small_grad(self, psi, small_tables):
         """Per-node small gradient rows ``(t1x, t1y)`` from window tables.
 
-        Row-independent like :meth:`_small_window`; the caller scatters
-        them into the full gradient vectors.
+        Builds the kernel derivatives of the last :meth:`_small_window`
+        call (rejected line-search probes never need them) and reuses its
+        kernel sums.  Row-independent like :meth:`_small_window`; the
+        caller scatters the rows into the full gradient vectors.
         """
-        _idx, flat, px, dpx, py, dpy, norm = small_tables
-        n, kx, ky = flat.shape
+        _idx, flat, px, py, norm = small_tables
+        n = len(norm)
+        kx, ky = self._kx, self._ky
+        dpt = self._buf("dpt", (kx + ky, n))
+        self._bell_slope(self._bufs["d"], self._sm_m2a, self._sm_b2, dpt, "k")
+        dp = self._buf("dp", (n, kx + ky))
+        np.copyto(dp, dpt.T)
+        dpx = dp[:, :kx]
+        dpy = dp[:, kx:]
         field = self._buf("field", (n, kx, ky))
-        np.take(psi.reshape(-1), flat, out=field)   # one gather
+        np.take(psi.reshape(-1), flat.reshape(n, kx, ky), out=field)  # one gather
         fy = self._buf("fy", (n, kx, ky))
         np.multiply(field, py[:, None, :], out=fy)
         t3 = self._buf("t3", (n, kx, ky))
@@ -622,10 +647,8 @@ class BellDensity:
         t3.sum(axis=(1, 2), out=gy)
         sum_px = self._buf("g_sum_px", (n,))
         sum_py = self._buf("g_sum_py", (n,))
-        px.sum(axis=1, out=sum_px)
-        np.maximum(sum_px, 1e-30, out=sum_px)
-        py.sum(axis=1, out=sum_py)
-        np.maximum(sum_py, 1e-30, out=sum_py)
+        np.maximum(self._bufs["sum_px"], 1e-30, out=sum_px)
+        np.maximum(self._bufs["sum_py"], 1e-30, out=sum_py)
         sum_dpx = self._buf("sum_dpx", (n,))
         sum_dpy = self._buf("sum_dpy", (n,))
         dpx.sum(axis=1, out=sum_dpx)

@@ -197,12 +197,7 @@ class SmoothWirelength:
         if len(self._starts) == 0:
             return 0.0, np.zeros(self.num_nodes), np.zeros(self.num_nodes)
         n = len(self._pin_node)
-        px = self._buf("px", (n,))
-        py = self._buf("py", (n,))
-        np.take(cx, self._pin_node, out=px)
-        px += self._pin_dx
-        np.take(cy, self._pin_node, out=py)
-        py += self._pin_dy
+        px, py = self._pin_coords(cx, cy, "")
         vx, gx = self._axis_value_grad_fast(px, "x")
         vy, gy = self._axis_value_grad_fast(py, "y")
         value = float(np.sum(self._weights * (vx + vy)))
@@ -247,13 +242,7 @@ class SmoothWirelength:
         if len(self._starts) == 0:
             self._probe = ("empty",)
             return 0.0
-        n = len(self._pin_node)
-        px = self._buf("px", (n,))
-        py = self._buf("py", (n,))
-        np.take(cx, self._pin_node, out=px)
-        px += self._pin_dx
-        np.take(cy, self._pin_node, out=py)
-        py += self._pin_dy
+        px, py = self._pin_coords(cx, cy, "")
         vx, st_x = self._axis_value_fast(px, "x")
         vy, st_y = self._axis_value_fast(py, "y")
         self._probe = ("split", st_x, st_y)
@@ -278,13 +267,34 @@ class SmoothWirelength:
         return grad_x, grad_y
 
     def value(self, cx: np.ndarray, cy: np.ndarray) -> float:
+        """Smooth wirelength only, with no gradient work.
+
+        Runs the value half of :meth:`value_probe` in buffers of its own,
+        so a pending probe stays intact for :meth:`finish_grad`.
+        """
         if len(self._starts) == 0:
             return 0.0
-        px = cx[self._pin_node] + self._pin_dx
-        py = cy[self._pin_node] + self._pin_dy
-        vx, _ = self._axis_value_grad(px)
-        vy, _ = self._axis_value_grad(py)
+        if self.reference:
+            px = cx[self._pin_node] + self._pin_dx
+            py = cy[self._pin_node] + self._pin_dy
+            vx, _ = self._axis_value_grad(px)
+            vy, _ = self._axis_value_grad(py)
+        else:
+            px, py = self._pin_coords(cx, cy, "v")
+            vx, _ = self._axis_value_fast(px, "vx")
+            vy, _ = self._axis_value_fast(py, "vy")
         return float(np.sum(self._weights * (vx + vy)))
+
+    def _pin_coords(self, cx: np.ndarray, cy: np.ndarray, tag: str):
+        """Pin coordinates gathered into the ``tag``-named buffers."""
+        n = len(self._pin_node)
+        px = self._buf(tag + "px", (n,))
+        py = self._buf(tag + "py", (n,))
+        np.take(cx, self._pin_node, out=px)
+        px += self._pin_dx
+        np.take(cy, self._pin_node, out=py)
+        py += self._pin_dy
+        return px, py
 
     # -- shared helpers -------------------------------------------------
     def _net_max(self, p):

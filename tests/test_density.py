@@ -5,6 +5,7 @@ import pytest
 
 from repro.db import Design, Node, NodeKind
 from repro.density import BellDensity, bell_kernel, density_map, density_overflow
+from repro.density.bell import _MAX_WINDOW
 from repro.geometry import Rect
 from repro.grids import BinGrid
 from repro.wirelength import finite_difference_gradient
@@ -194,3 +195,90 @@ class TestOverflowMetric:
         d = Design("t", core=Rect(0, 0, 10, 10))
         d.add_node(Node("blk", 2, 2, kind=NodeKind.FIXED))
         assert density_overflow(d) == 0.0
+
+
+def density_pair(grid, widths, heights, fixed=()):
+    """``(reference, optimized)`` models over the same nodes."""
+    movable = np.ones(len(widths), dtype=bool)
+    return tuple(
+        BellDensity(grid, widths, heights, movable, fixed_rects=fixed, reference=ref)
+        for ref in (True, False)
+    )
+
+
+def assert_same_value_grad(ref, opt, cx, cy):
+    fr, gxr, gyr = ref.value_grad(cx, cy)
+    fo, gxo, gyo = opt.value_grad(cx, cy)
+    np.testing.assert_array_equal(fo, fr)
+    np.testing.assert_array_equal(gxo, gxr)
+    np.testing.assert_array_equal(gyo, gyr)
+
+
+class TestOptimizedMatchesReference:
+    """Window sweeps off every grid edge, uneven windows and the probe
+    protocol, bit for bit against the ``reference=True`` twin."""
+
+    def test_cells_on_every_edge_and_corner(self):
+        core = Rect(0, 0, 80, 60)
+        grid = BinGrid(core, 16, 12)
+        xs = [0.0, 0.4, 40.0, 79.6, 80.0]
+        ys = [0.0, 0.3, 30.0, 59.7, 60.0]
+        cx = np.array([x for x in xs for _ in ys])
+        cy = np.array([y for _ in xs for y in ys])
+        widths = np.full(len(cx), 2.0)
+        heights = np.full(len(cx), 1.0)
+        ref, opt = density_pair(grid, widths, heights, fixed=[(30, 20, 50, 40)])
+        assert opt._kx and not len(opt._large)
+        phi_r, _, _ = ref.potential(cx, cy)
+        phi_o, _, _ = opt.potential(cx, cy)
+        np.testing.assert_array_equal(phi_o, phi_r)
+        assert_same_value_grad(ref, opt, cx, cy)
+
+    def test_uneven_windows_up_to_the_window_cap(self):
+        # 5 x 10 bins: a 15-wide cell spans exactly _MAX_WINDOW bins in x
+        # (and so still takes the window sweep) while every window is at
+        # most 6 bins tall, so kx != ky.
+        grid = BinGrid(Rect(0, 0, 120, 60), 24, 6)
+        rng = np.random.default_rng(5)
+        widths = np.concatenate([[15.0], rng.uniform(0.5, 4.0, 40)])
+        heights = np.concatenate([[10.0], rng.uniform(1.0, 10.0, 40)])
+        cx = rng.uniform(-4.0, 124.0, len(widths))
+        cy = rng.uniform(-4.0, 64.0, len(widths))
+        ref, opt = density_pair(grid, widths, heights)
+        assert opt._kx == _MAX_WINDOW and opt._ky < opt._kx
+        assert 0 in opt._small
+        assert_same_value_grad(ref, opt, cx, cy)
+
+    def test_finish_grad_belongs_to_the_last_probe(self):
+        d = make_design(n_cells=30, seed=8)
+        grid = BinGrid(d.core, 16, 16)
+        w, h = d.placed_sizes()
+        ref, opt = density_pair(grid, w, h)
+        cx, cy = d.pull_centers()
+        cx2, cy2 = cx + 3.5, cy - 1.25
+        opt.value_probe(cx, cy)
+        f = opt.value_probe(cx2, cy2)
+        gx, gy = opt.finish_grad()
+        fr, gxr, gyr = ref.value_grad(cx2, cy2)
+        assert f == fr
+        np.testing.assert_array_equal(gx, gxr)
+        np.testing.assert_array_equal(gy, gyr)
+
+    def test_nan_centre_probe_matches_reference(self):
+        # A NaN centre puts the node's whole window off the grid, so it
+        # adds nothing to the field; the probe must agree with the
+        # reference instead of raising on its window indices.
+        d = make_design(n_cells=12, seed=9)
+        grid = BinGrid(d.core, 16, 16)
+        w, h = d.placed_sizes()
+        ref, opt = density_pair(grid, w, h)
+        cx, cy = d.pull_centers()
+        cx[3] = np.nan
+        cy[7] = np.nan
+        with np.errstate(invalid="ignore"):
+            f = opt.value_probe(cx, cy)
+            gx, gy = opt.finish_grad()
+            fr, gxr, gyr = ref.value_grad(cx, cy)
+        np.testing.assert_array_equal(f, fr)
+        np.testing.assert_array_equal(gx, gxr)
+        np.testing.assert_array_equal(gy, gyr)

@@ -216,6 +216,23 @@ class TestGradients:
         v, gx, gy = model.value_grad(cx, cy)
         assert v == 0.0 and gx.tolist() == [0.0]
 
+    @pytest.mark.parametrize("kind", ["wa", "lse"])
+    def test_value_matches_reference_bitwise(self, kind):
+        rng = np.random.default_rng(11)
+        d = random_design(rng, n_nodes=40, n_nets=30)
+        arrays = d.pin_arrays()
+        cx, cy = d.pull_centers()
+        ref = make_model(kind, arrays, d.num_nodes, 2.0, reference=True)
+        opt = make_model(kind, arrays, d.num_nodes, 2.0)
+        assert opt.value(cx, cy) == ref.value(cx, cy)
+        # value() keeps a pending probe intact for finish_grad().
+        opt.value_probe(cx + 1.5, cy)
+        assert opt.value(cx - 2.0, cy + 0.5) == ref.value(cx - 2.0, cy + 0.5)
+        gx, gy = opt.finish_grad()
+        _, gxr, gyr = ref.value_grad(cx + 1.5, cy)
+        np.testing.assert_array_equal(gx, gxr)
+        np.testing.assert_array_equal(gy, gyr)
+
     def test_make_model_rejects_unknown(self):
         d = build_design([(0, 0), (1, 1)], [[0, 1]])
         with pytest.raises(ValueError):
