@@ -27,62 +27,11 @@ import json
 import sys
 
 # metric name -> (relative tolerance, absolute tolerance); a metric
-# passes if it is within EITHER bound of the baseline value.  The
-# canonical table lives in repro.obs.runs so that `repro runs diff`
-# flags regressions with exactly the bounds CI gates on; the literal
-# fallback keeps this script usable standalone (no PYTHONPATH).
-try:
-    from repro.obs.runs import DEFAULT_TOLERANCE, TOLERANCES
-except ImportError:
-    DEFAULT_TOLERANCE = (0.02, 0.0)
-    TOLERANCES = {
-        "hpwl": (0.02, 0.0),
-        "overflow": (0.02, 0.02),
-        "rc": (0.02, 0.0),
-        "total_overflow": (0.02, 1.0),
-        "peak_congestion": (0.02, 0.05),
-        "vias": (0.02, 0.0),
-        "gp_iterations": (0.0, 0.0),
-        "dp_improvement": (0.02, 1e-6),
-        "dp_accepted": (0.0, 0.0),
-        "dp_pass_count": (0.0, 0.0),
-        "legal_ok": (0.0, 0.0),
-        "max_displacement": (0.02, 0.0),
-        "jobs_submitted": (0.0, 0.0),
-        "jobs_done": (0.0, 0.0),
-        "jobs_lost": (0.0, 0.0),
-        "jobs_failed": (0.0, 0.0),
-        "jobs_cancelled": (0.0, 0.0),
-        "jobs_requeued": (1e9, 1e9),
-        "worker_respawns": (1e9, 1e9),
-        "throughput_jobs_per_s": (1e9, 1e9),
-        "latency_p50_s": (1e9, 1e9),
-        "latency_p95_s": (1e9, 1e9),
-        "chaos_invariant_violations": (0.0, 0.0),
-        "chaos_lost_jobs": (0.0, 0.0),
-        "chaos_duplicate_terminals": (0.0, 0.0),
-        "chaos_attempt_regressions": (0.0, 0.0),
-        "chaos_orphaned_shm": (0.0, 0.0),
-        "chaos_result_mismatches": (0.0, 0.0),
-        "chaos_submitted": (1e9, 1e9),
-        "chaos_done": (1e9, 1e9),
-        "chaos_failed": (1e9, 1e9),
-        "chaos_cancelled": (1e9, 1e9),
-        "chaos_requeues": (1e9, 1e9),
-        "chaos_worker_kills": (1e9, 1e9),
-        "chaos_restarts": (1e9, 1e9),
-        "chaos_faults_fired": (1e9, 1e9),
-        "chaos_store_recoveries": (1e9, 1e9),
-        "predict_router_rounds": (0.0, 0.0),
-        "predict_predictor_rounds": (0.0, 0.0),
-        "predict_fallbacks": (0.0, 0.0),
-        "predict_train_samples": (0.0, 0.0),
-        "predict_final_drift": (0.0, 0.1),
-        "predict_val_mse": (0.0, 0.05),
-        "predict_hpwl_rel_delta": (0.0, 0.01),
-        "predict_overflow_delta": (0.0, 0.02),
-        "predict_inflation_speedup": (1e9, 1e9),
-    }
+# passes if it is within EITHER bound of the baseline value.  The table
+# lives in repro.obs.runs so that `repro runs diff` flags regressions
+# with exactly the bounds CI gates on.
+from repro.obs.runs import DEFAULT_TOLERANCE, TOLERANCES
+
 # Flags that must be true in the fresh record for the gate to pass.
 # Each is checked only when present.
 REQUIRED_FLAGS = (

@@ -27,16 +27,17 @@ from repro.db import Design
 from repro.gp.initial import initial_placement
 from repro.grids import BinGrid
 
+ANCHOR_WEIGHT_INITIAL = 0.01  # pseudo-spring weight toward the last spread
+ANCHOR_WEIGHT_GROWTH = 1.6  # per iteration
+SPREAD_BINS = 24  # warping grid bins per axis
+SPREAD_STRENGTH = 0.8  # 1.0 = full CDF equalization per step
+
 
 @dataclass
 class QuadraticConfig:
     """Knobs of :class:`QuadraticPlacer`."""
 
     iterations: int = 12
-    anchor_weight_initial: float = 0.01
-    anchor_weight_growth: float = 1.6
-    spread_bins: int = 24
-    spread_strength: float = 0.8  # 1.0 = full CDF equalization per step
     seed: int = 7
 
 
@@ -55,7 +56,7 @@ class QuadraticPlacer:
             return {"iterations": 0}
         mov_pos = {int(i): k for k, i in enumerate(mov)}
         cx, cy = design.pull_centers()
-        anchor_w = cfg.anchor_weight_initial
+        anchor_w = ANCHOR_WEIGHT_INITIAL
         info = {"iterations": 0, "hpwl": []}
         for it in range(cfg.iterations):
             cx, cy = self._solve_axis_pair(design, cx, cy, mov, mov_pos, anchor_w)
@@ -63,7 +64,7 @@ class QuadraticPlacer:
             design.push_centers(cx, cy)
             info["iterations"] = it + 1
             info["hpwl"].append(design.hpwl())
-            anchor_w *= cfg.anchor_weight_growth
+            anchor_w *= ANCHOR_WEIGHT_GROWTH
         return info
 
     # ------------------------------------------------------------------
@@ -142,9 +143,8 @@ class QuadraticPlacer:
     # ------------------------------------------------------------------
     def _spread(self, design, cx, cy, mov):
         """One step of per-axis cumulative-density warping."""
-        cfg = self.config
         core = design.core
-        grid = BinGrid(core, cfg.spread_bins, cfg.spread_bins)
+        grid = BinGrid(core, SPREAD_BINS, SPREAD_BINS)
         w, h = design.placed_sizes()
         usage = grid.rasterize_rects(
             cx[mov] - w[mov] / 2,
@@ -155,10 +155,10 @@ class QuadraticPlacer:
         cx = cx.copy()
         cy = cy.copy()
         cx[mov] = self._warp_axis(
-            cx[mov], usage.sum(axis=1), core.xl, grid.bin_w, cfg.spread_strength
+            cx[mov], usage.sum(axis=1), core.xl, grid.bin_w, SPREAD_STRENGTH
         )
         cy[mov] = self._warp_axis(
-            cy[mov], usage.sum(axis=0), core.yl, grid.bin_h, cfg.spread_strength
+            cy[mov], usage.sum(axis=0), core.yl, grid.bin_h, SPREAD_STRENGTH
         )
         # Fenced cells stay near their regions: clamp to fence bounding box.
         for node in design.nodes:

@@ -508,6 +508,17 @@ def _parse_assignments(pairs, flag: str):
     return out
 
 
+def _set_value(text: str):
+    """A ``--set`` value: JSON where it parses (``false``, ``12``,
+    ``null``), else the raw string (``router``)."""
+    import json as _json
+
+    try:
+        return _json.loads(text)
+    except ValueError:
+        return text
+
+
 def _cmd_submit(args) -> int:
     import json as _json
 
@@ -528,7 +539,7 @@ def _cmd_submit(args) -> int:
     if args.wirelength_only:
         options["wirelength_only"] = True
     if overrides:
-        options["config"] = overrides
+        options["config"] = {k: _set_value(v) for k, v in overrides.items()}
     if budgets:
         options["stage_budget"] = {
             k: float(v) for k, v in budgets.items()

@@ -15,6 +15,10 @@ from repro.dp.swap import global_swap_pass, vertical_swap_pass
 from repro.obs import get_tracer
 from repro.route.rudy import rudy_map
 
+# The congestion gate rejects a move whose destination tile's estimated
+# congestion exceeds this (and the source tile's by a margin).
+CONGESTION_GATE_THRESHOLD = 0.9
+
 
 @dataclass
 class DPConfig:
@@ -25,18 +29,14 @@ class DPConfig:
     vertical_swap: bool = True
     local_reorder: bool = True
     matching: bool = True
-    reorder_window: int = 3
-    swap_candidates: int = 8
-    matching_batch: int = 24
     # Congestion gating: moves into tiles whose estimated congestion
-    # exceeds the threshold are rejected (requires design.routing).
+    # exceeds CONGESTION_GATE_THRESHOLD are rejected (requires
+    # design.routing).
     congestion_aware: bool = True
-    congestion_gate_threshold: float = 0.9
     # Congestion-driven spreading: evacuate cells from hot tiles into
     # cool whitespace after the wirelength passes (congestion_aware only).
     congestion_spread: bool = True
     spread_threshold: float = 0.9
-    spread_max_moves: int = 200
     min_gain_per_round: float = 1e-6
     # Golden mode: run the original per-pin scoring loops (kept verbatim
     # in IncrementalHPWL) instead of the batched NumPy hot paths.  Results
@@ -113,12 +113,7 @@ class DetailedPlacer:
                 round_gain = 0.0
                 if cfg.global_swap:
                     with tracer.span("global_swap"):
-                        acc, gain = global_swap_pass(
-                            design,
-                            inc,
-                            candidates_per_cell=cfg.swap_candidates,
-                            gate=gate,
-                        )
+                        acc, gain = global_swap_pass(design, inc, gate=gate)
                     round_gain += note("global_swap", acc, gain)
                 if cfg.vertical_swap:
                     with tracer.span("vertical_swap"):
@@ -128,15 +123,11 @@ class DetailedPlacer:
                     # Swap passes move cells between rows; refresh membership.
                     with tracer.span("local_reorder"):
                         submap.rebuild_cells(design)
-                        acc, gain = local_reorder_pass(
-                            design, inc, submap, window=cfg.reorder_window
-                        )
+                        acc, gain = local_reorder_pass(design, inc, submap)
                     round_gain += note("local_reorder", acc, gain)
                 if cfg.matching:
                     with tracer.span("matching"):
-                        acc, gain = matching_pass(
-                            design, inc, batch_size=cfg.matching_batch, gate=gate
-                        )
+                        acc, gain = matching_pass(design, inc, gate=gate)
                     round_gain += note("matching", acc, gain)
             if round_gain < cfg.min_gain_per_round * max(report.hpwl_before, 1.0):
                 break
@@ -154,7 +145,6 @@ class DetailedPlacer:
                     submap,
                     inc,
                     threshold=cfg.spread_threshold,
-                    max_moves=cfg.spread_max_moves,
                 )
             note("congestion_spread", moves, -delta)
         report.hpwl_after = design.hpwl()
@@ -174,7 +164,7 @@ class DetailedPlacer:
         ) / grid.bin_area
         with np.errstate(divide="ignore", invalid="ignore"):
             cong = np.where(supply > 0, demand / np.maximum(supply, 1e-12), 0.0)
-        threshold = self.config.congestion_gate_threshold
+        threshold = CONGESTION_GATE_THRESHOLD
 
         if reference:
 

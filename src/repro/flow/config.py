@@ -16,20 +16,17 @@ class FlowConfig:
     gp: GPConfig = field(default_factory=GPConfig)
     dp: DPConfig = field(default_factory=DPConfig)
     legal: LegalConfig = field(default_factory=LegalConfig)
-    # Cell-only GP refinement after mid-flow macro legalization.
-    refine_after_macro_legal: bool = True
+    # Outer-iteration cap of the cell-only GP refinement that follows
+    # mid-flow macro legalization (on designs with macros).
     refine_outer_iterations: int = 16
     run_dp: bool = True
     macro_channel: float = 0.0  # clearance reserved around macros
     # Congestion-driven net weighting between GP and the refinement pass
     # (extension lever; complements cell inflation).
     net_weighting: bool = False
-    net_weighting_strength: float = 1.0
-    net_weighting_max: float = 4.0
     # Timing-driven net weighting (extension; repro.timing STA).
     timing_weighting: bool = False
     timing_weighting_strength: float = 2.0
-    timing_weighting_max: float = 5.0
     # Evaluation router settings (see docs/performance.md for tuning).
     route_sweeps: int = 2
     route_maze_rounds: int = 3

@@ -458,11 +458,7 @@ class NTUplace4H:
         if cfg.timing_weighting:
             from repro.timing import apply_timing_net_weights
 
-            apply_timing_net_weights(
-                design,
-                strength=cfg.timing_weighting_strength,
-                max_weight=cfg.timing_weighting_max,
-            )
+            apply_timing_net_weights(design, strength=cfg.timing_weighting_strength)
         if cfg.net_weighting and design.routing is not None:
             from repro.gp import (
                 CongestionInflator,
@@ -473,14 +469,9 @@ class NTUplace4H:
             cmap = estimator.congestion_map(
                 design.pin_arrays(), *design.pull_centers()
             )
-            apply_congestion_net_weights(
-                design,
-                cmap,
-                strength=cfg.net_weighting_strength,
-                max_weight=cfg.net_weighting_max,
-            )
+            apply_congestion_net_weights(design, cmap)
         legalize_macros(design, channel=cfg.macro_channel)
-        if cfg.refine_after_macro_legal and design.macro_mask().any():
+        if design.macro_mask().any():
             refine_cfg = GPConfig(**vars(cfg.gp))
             refine_cfg.freeze_macros = True
             refine_cfg.clustering = False

@@ -9,7 +9,6 @@ optional hierarchy-aware clustering V-cycle accelerates large designs.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from repro.gp.inflation import CongestionInflator
 from repro.gp.initial import initial_placement
 from repro.gp.orient import optimize_macro_orientations
 from repro.grids import BinGrid
-from repro.obs import configure_logging, get_logger, get_tracer
+from repro.obs import get_logger, get_tracer
 from repro.optim import minimize_cg
 from repro.resilience.faults import check_fault, fault_armed
 from repro.resilience.guards import NumericalGuard, all_finite
@@ -32,6 +31,23 @@ from repro.wirelength import hpwl as exact_hpwl
 from repro.wirelength import make_model
 
 _log = get_logger("gp")
+
+# The placement schedule.  The paper runs one schedule, so these are
+# constants, not knobs; step and smoothing lengths are in density-bin
+# widths.
+GAMMA_FACTOR = 4.0  # initial WA/LSE smoothing gamma
+GAMMA_DECAY = 0.98  # gamma anneal per outer iteration
+LAMBDA_INITIAL_RATIO = 0.12  # lambda0 * |grad D| ~ ratio * |grad WL|
+LAMBDA_GROWTH = 1.9
+STEP_INIT_BINS = 6.0  # CG line-search step bounds
+STEP_MAX_BINS = 12.0
+INFLATION_START_OVERFLOW = 0.45  # begin inflating once spread enough
+INFLATION_INTERVAL = 2  # outer iterations between congestion updates
+RESERVATION_FLOOR = 0.6  # minimum density-target scale over starved bins
+FENCE_WEIGHT_INITIAL_RATIO = 0.5  # mu0 * |grad F| ~ ratio * |grad WL|
+FENCE_WEIGHT_GROWTH = 1.6
+ORIENTATION_INTERVAL = 6  # outer iterations between orientation passes
+COARSE_ITERATION_FRACTION = 0.5  # share of outer iterations at coarse level
 
 
 @dataclass
@@ -111,8 +127,6 @@ class GlobalPlacer:
         iteration boundary and the report is marked ``budget_exhausted``.
         """
         cfg = self.config
-        if cfg.verbose:
-            configure_logging(logging.INFO)
         tracer = get_tracer()
         t0 = time.perf_counter()
         report = GPReport()
@@ -131,7 +145,7 @@ class GlobalPlacer:
             and len(movable) >= cfg.cluster_min_nodes
         ):
             with tracer.span("coarse", level=cfg.cluster_max_levels):
-                clustered = cluster_design(design, ratio=cfg.cluster_ratio)
+                clustered = cluster_design(design)
                 coarse_placer = GlobalPlacer(self._coarse_config())
                 coarse_placer.metric_prefix = self.metric_prefix + ".coarse"
                 coarse_report = coarse_placer.place(clustered.coarse)
@@ -159,9 +173,8 @@ class GlobalPlacer:
         # relaxes the spreading target (fine levels do the precise work).
         coarse.cluster_max_levels = cfg.cluster_max_levels - 1
         coarse.max_outer_iterations = max(
-            4, int(cfg.max_outer_iterations * cfg.coarse_iteration_fraction)
+            4, int(cfg.max_outer_iterations * COARSE_ITERATION_FRACTION)
         )
-        coarse.optimize_orientations = cfg.optimize_orientations
         coarse.overflow_target = max(cfg.overflow_target, 0.15)
         return coarse
 
@@ -196,7 +209,7 @@ class GlobalPlacer:
         widths, heights = design.placed_sizes()
         target_scale = None
         if cfg.routability and cfg.whitespace_reservation and design.routing is not None:
-            target_scale = self._reservation_scale(design, grid, cfg.reservation_floor)
+            target_scale = self._reservation_scale(design, grid, RESERVATION_FLOOR)
         density = BellDensity(
             grid,
             widths,
@@ -212,10 +225,6 @@ class GlobalPlacer:
         if cfg.routability and design.routing is not None:
             inflator = CongestionInflator(
                 design,
-                exponent=cfg.inflation_exponent,
-                max_inflation=cfg.inflation_max,
-                total_max=cfg.inflation_total_max,
-                threshold=cfg.congestion_threshold,
                 estimator=cfg.congestion_estimator,
                 predict_model=cfg.predict_model,
                 router_interval=cfg.predict_router_interval,
@@ -223,7 +232,7 @@ class GlobalPlacer:
                 reference=cfg.reference,
             )
 
-        gamma = cfg.gamma_factor * max(grid.bin_w, grid.bin_h)
+        gamma = GAMMA_FACTOR * max(grid.bin_w, grid.bin_h)
         arrays = design.pin_arrays(reference=cfg.reference)
         wl_model = make_model(
             cfg.wirelength_model,
@@ -374,22 +383,17 @@ class GlobalPlacer:
                     return float("nan"), np.full_like(g, np.nan)
                 return f, g
 
-        guard = None
-        if cfg.numerical_guard:
-            guard = NumericalGuard(
-                max_retries=cfg.guard_max_retries,
-                divergence_ratio=cfg.guard_divergence_ratio,
-                divergence_patience=cfg.guard_divergence_patience,
-                backoff=cfg.guard_backoff,
-                gamma_inflate=cfg.guard_gamma_inflate,
-            )
+        # NaN/Inf and divergence detection with rollback to the last
+        # good iterate.  The guard never perturbs a healthy trajectory;
+        # it only decides what to do when an iteration is poisoned.
+        guard = NumericalGuard()
 
         # -- initialize the penalty weights from the gradient balance.
         _, wl_gx, wl_gy = wl_model.value_grad(cx, cy)
         _, d_gx, d_gy = density.value_grad(cx, cy)
         wl_norm = float(np.abs(wl_gx[mov]).sum() + np.abs(wl_gy[mov]).sum())
         d_norm = float(np.abs(d_gx[mov]).sum() + np.abs(d_gy[mov]).sum())
-        state["lam"] = cfg.lambda_initial_ratio * wl_norm / max(d_norm, 1e-12)
+        state["lam"] = LAMBDA_INITIAL_RATIO * wl_norm / max(d_norm, 1e-12)
         if fence.active:
             _, f_gx, f_gy = fence.value_grad(cx, cy)
             f_norm = float(np.abs(f_gx[mov]).sum() + np.abs(f_gy[mov]).sum())
@@ -402,29 +406,28 @@ class GlobalPlacer:
                 1 for n in design.nodes if n.region is not None and n.is_movable
             )
             floor = 2.0 * max(grid.bin_w, grid.bin_h) * max(n_fenced, 1)
-            state["mu"] = cfg.fence_weight_initial_ratio * wl_norm / max(f_norm, floor)
+            state["mu"] = FENCE_WEIGHT_INITIAL_RATIO * wl_norm / max(f_norm, floor)
         else:
             state["mu"] = 0.0
 
-        step_init = cfg.step_init_bins * max(grid.bin_w, grid.bin_h)
-        step_max = cfg.step_max_bins * max(grid.bin_w, grid.bin_h)
+        step_init = STEP_INIT_BINS * max(grid.bin_w, grid.bin_h)
+        step_max = STEP_MAX_BINS * max(grid.bin_w, grid.bin_h)
         overflow = self._overflow(
             design, density, cx, cy, widths, heights, mov, reference=cfg.reference
         )
         v = project(pack())
         unpack(v)
-        if guard is not None:
-            # Seed the rollback target with the pre-descent state so even
-            # a poisoned first iteration has somewhere to return to.  The
-            # infinite HPWL keeps the divergence tracker disarmed until a
-            # real iteration commits.
-            guard.commit(
-                v,
-                gamma=wl_model.gamma,
-                step_init=step_init,
-                step_max=step_max,
-                hpwl=float("inf"),
-            )
+        # Seed the rollback target with the pre-descent state so even a
+        # poisoned first iteration has somewhere to return to.  The
+        # infinite HPWL keeps the divergence tracker disarmed until a real
+        # iteration commits.
+        guard.commit(
+            v,
+            gamma=wl_model.gamma,
+            step_init=step_init,
+            step_max=step_max,
+            hpwl=float("inf"),
+        )
 
         tracer = get_tracer()
         metrics = tracer.metrics
@@ -433,8 +436,8 @@ class GlobalPlacer:
             with tracer.span(f"iter[{outer}]"):
                 if (
                     inflator is not None
-                    and overflow <= cfg.inflation_start_overflow
-                    and outer % cfg.inflation_interval == 0
+                    and overflow <= INFLATION_START_OVERFLOW
+                    and outer % INFLATION_INTERVAL == 0
                 ):
                     with tracer.span("inflation"):
                         areas = inflator.update(arrays, cx, cy, movable_mask)
@@ -443,7 +446,7 @@ class GlobalPlacer:
                     cfg.optimize_orientations
                     and not cfg.freeze_macros
                     and outer > 0
-                    and outer % cfg.orientation_interval == 0
+                    and outer % ORIENTATION_INTERVAL == 0
                 ):
                     with tracer.span("orientation"):
                         changed = self._orientation_pass(design, cx, cy)
@@ -481,54 +484,53 @@ class GlobalPlacer:
                         reference=cfg.reference,
                     )
                     wl_exact = exact_hpwl(arrays, cx, cy)
-                if guard is not None:
-                    poisoned = result.nonfinite or not all_finite(wl_exact, overflow)
-                    if poisoned or guard.diverged(wl_exact):
-                        reason = "nonfinite" if poisoned else "divergence"
-                        detail = (
-                            f"f={result.value} |g|={result.grad_norm}"
-                            if poisoned
-                            else f"hpwl={wl_exact}"
-                        )
-                        snap = guard.recover(outer, reason, detail)
-                        metrics.counter(prefix + ".guard.rollbacks").inc()
-                        tracer.event(
-                            "guard.rollback",
-                            outer=outer,
-                            reason=reason,
-                            recovered=snap is not None,
-                        )
-                        _log.warning(
-                            "[%s %s] outer=%d %s detected; %s",
-                            prefix,
-                            design.name,
-                            outer,
-                            reason,
-                            "rolling back" if snap is not None else "retries exhausted",
-                        )
-                        if snap is None:
-                            # No snapshot or retries exhausted: keep the
-                            # best state we have and stop cleanly.
-                            report.guard_exhausted = True
-                            if guard.last_good is not None:
-                                v = np.array(guard.last_good.v, copy=True)
-                                unpack(v)
-                                wl_model.gamma = guard.last_good.gamma
-                                overflow = self._overflow(
-                                    design, density, cx, cy, widths, heights,
-                                    mov, reference=cfg.reference,
-                                )
-                            break
-                        v = np.array(snap.v, copy=True)
-                        unpack(v)
-                        step_init = snap.step_init
-                        step_max = snap.step_max
-                        wl_model.gamma = snap.gamma
-                        overflow = self._overflow(
-                            design, density, cx, cy, widths, heights, mov,
-                            reference=cfg.reference,
-                        )
-                        continue  # retry from the snapshot, same lam/mu
+                poisoned = result.nonfinite or not all_finite(wl_exact, overflow)
+                if poisoned or guard.diverged(wl_exact):
+                    reason = "nonfinite" if poisoned else "divergence"
+                    detail = (
+                        f"f={result.value} |g|={result.grad_norm}"
+                        if poisoned
+                        else f"hpwl={wl_exact}"
+                    )
+                    snap = guard.recover(outer, reason, detail)
+                    metrics.counter(prefix + ".guard.rollbacks").inc()
+                    tracer.event(
+                        "guard.rollback",
+                        outer=outer,
+                        reason=reason,
+                        recovered=snap is not None,
+                    )
+                    _log.warning(
+                        "[%s %s] outer=%d %s detected; %s",
+                        prefix,
+                        design.name,
+                        outer,
+                        reason,
+                        "rolling back" if snap is not None else "retries exhausted",
+                    )
+                    if snap is None:
+                        # No snapshot or retries exhausted: keep the
+                        # best state we have and stop cleanly.
+                        report.guard_exhausted = True
+                        if guard.last_good is not None:
+                            v = np.array(guard.last_good.v, copy=True)
+                            unpack(v)
+                            wl_model.gamma = guard.last_good.gamma
+                            overflow = self._overflow(
+                                design, density, cx, cy, widths, heights,
+                                mov, reference=cfg.reference,
+                            )
+                        break
+                    v = np.array(snap.v, copy=True)
+                    unpack(v)
+                    step_init = snap.step_init
+                    step_max = snap.step_max
+                    wl_model.gamma = snap.gamma
+                    overflow = self._overflow(
+                        design, density, cx, cy, widths, heights, mov,
+                        reference=cfg.reference,
+                    )
+                    continue  # retry from the snapshot, same lam/mu
                 stats = IterationStats(
                     outer=outer,
                     hpwl=wl_exact,
@@ -549,25 +551,22 @@ class GlobalPlacer:
                 metrics.record(prefix + ".gamma", outer, wl_model.gamma)
                 metrics.record(prefix + ".step", outer, result.final_step)
                 metrics.record(prefix + ".cg_iters", outer, result.iterations)
-                if self.config.verbose or _log.isEnabledFor(logging.DEBUG):
-                    _log.log(
-                        logging.INFO if self.config.verbose else logging.DEBUG,
-                        "[%s %s] outer=%3d hpwl=%12.1f ovfl=%6.3f lam=%9.2e",
-                        prefix,
-                        design.name,
-                        outer,
-                        wl_exact,
-                        overflow,
-                        state["lam"],
-                    )
-                if guard is not None:
-                    guard.commit(
-                        v,
-                        gamma=wl_model.gamma,
-                        step_init=step_init,
-                        step_max=step_max,
-                        hpwl=wl_exact,
-                    )
+                _log.debug(
+                    "[%s %s] outer=%3d hpwl=%12.1f ovfl=%6.3f lam=%9.2e",
+                    prefix,
+                    design.name,
+                    outer,
+                    wl_exact,
+                    overflow,
+                    state["lam"],
+                )
+                guard.commit(
+                    v,
+                    gamma=wl_model.gamma,
+                    step_init=step_init,
+                    step_max=step_max,
+                    hpwl=wl_exact,
+                )
             if watchdog is not None and watchdog.expired():
                 report.budget_exhausted = True
                 tracer.event("watchdog.expired", outer=outer, **watchdog.describe())
@@ -580,17 +579,15 @@ class GlobalPlacer:
                 break
             if overflow <= cfg.overflow_target:
                 break
-            state["lam"] *= cfg.lambda_growth
+            state["lam"] *= LAMBDA_GROWTH
             if fence.active:
-                state["mu"] *= cfg.fence_weight_growth
-            if cfg.gamma_decay < 1.0:
-                wl_model.gamma = max(
-                    wl_model.gamma * cfg.gamma_decay, 0.5 * min(grid.bin_w, grid.bin_h)
-                )
+                state["mu"] *= FENCE_WEIGHT_GROWTH
+            wl_model.gamma = max(
+                wl_model.gamma * GAMMA_DECAY, 0.5 * min(grid.bin_w, grid.bin_h)
+            )
 
-        if guard is not None:
-            report.guard_rollbacks += guard.rollbacks
-            report.guard_events += [e.as_dict() for e in guard.events]
+        report.guard_rollbacks += guard.rollbacks
+        report.guard_events += [e.as_dict() for e in guard.events]
         if inflator is not None:
             if inflator.wants_final_check:
                 # Hybrid estimator: close the loop with one real route at
@@ -666,16 +663,12 @@ class GlobalPlacer:
             scale = scale + blend * (1.0 - scale)
         return scale
 
-    def _density_grid(self, design: Design, num_movable: int) -> BinGrid:
-        cfg = self.config
-        if cfg.target_bins is not None:
-            bins = cfg.target_bins
-        else:
-            # ~ sqrt(n) bins per axis, clamped to a practical range.
-            per_axis = int(np.sqrt(max(num_movable, 1)))
-            per_axis = max(16, min(per_axis, 96))
-            bins = per_axis * per_axis
-        return BinGrid.with_bin_target(design.core, bins)
+    @staticmethod
+    def _density_grid(design: Design, num_movable: int) -> BinGrid:
+        # ~ sqrt(n) bins per axis, clamped to a practical range.
+        per_axis = int(np.sqrt(max(num_movable, 1)))
+        per_axis = max(16, min(per_axis, 96))
+        return BinGrid.with_bin_target(design.core, per_axis * per_axis)
 
     @staticmethod
     def _overflow(

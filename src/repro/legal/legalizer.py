@@ -18,8 +18,6 @@ from repro.obs import get_tracer
 class LegalConfig:
     """Knobs of :class:`Legalizer`."""
 
-    macro_channel: float = 0.0
-    row_probe: int = 24
     # Fallback mode: skip the Abacus refinement and accept the plain
     # Tetris result.  The flow switches this on when a full legalization
     # attempt fails, trading displacement quality for a placement that is
@@ -49,30 +47,25 @@ class LegalizeResult:
 
 
 class Legalizer:
-    """Macro legalization + Tetris + Abacus, with a legality audit."""
+    """Macro legalization + Tetris + Abacus, with a legality audit.
+
+    ``macro_channel`` is the clearance reserved around macros (the flow
+    passes ``FlowConfig.macro_channel``); ``tetris_only`` overrides the
+    config's fallback switch.
+    """
 
     def __init__(
         self,
         config: LegalConfig | None = None,
         *,
-        macro_channel: float | None = None,
-        row_probe: int | None = None,
+        macro_channel: float = 0.0,
         tetris_only: bool | None = None,
-        reference: bool | None = None,
     ):
         cfg = config or LegalConfig()
-        # Keyword overrides keep the historical constructor working.
-        if macro_channel is not None:
-            cfg = replace(cfg, macro_channel=macro_channel)
-        if row_probe is not None:
-            cfg = replace(cfg, row_probe=row_probe)
         if tetris_only is not None:
             cfg = replace(cfg, tetris_only=tetris_only)
-        if reference is not None:
-            cfg = replace(cfg, reference=reference)
         self.config = cfg
-        self.macro_channel = cfg.macro_channel
-        self.row_probe = cfg.row_probe
+        self.macro_channel = macro_channel
         self.tetris_only = cfg.tetris_only
         self.reference = cfg.reference
 
@@ -86,12 +79,7 @@ class Legalizer:
             macros_moved = legalize_macros(design, channel=self.macro_channel)
         with tracer.span("tetris"):
             submap = SubRowMap(design)
-            tetris_legalize(
-                design,
-                submap,
-                row_probe=self.row_probe,
-                reference=self.reference,
-            )
+            tetris_legalize(design, submap, reference=self.reference)
         if not self.tetris_only:
             with tracer.span("abacus"):
                 abacus_refine(

@@ -2,11 +2,12 @@
 the tracer.
 
 Every module logs through :func:`get_logger`; all loggers hang off the
-``repro`` root logger so one switch (:func:`configure_logging`, or the
-CLI's verbosity flags) controls the whole library.  A
-:class:`TracerEventHandler` on the root forwards each emitted record to
-the *current* tracer as a ``log`` event, so a traced run captures
-exactly what a verbose run would have printed — same switch, two sinks.
+``repro`` root logger so one switch (:func:`configure_logging`) controls
+the whole library; ``configure_logging(logging.DEBUG)`` also prints the
+global placer's per-iteration lines.  A :class:`TracerEventHandler` on
+the root forwards each emitted record to the *current* tracer as a
+``log`` event, so a traced run captures exactly what a verbose run
+would have printed — same switch, two sinks.
 """
 
 from __future__ import annotations

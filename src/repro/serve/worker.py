@@ -38,6 +38,7 @@ import os
 import signal
 import threading
 import time
+from dataclasses import fields, is_dataclass
 
 from repro.obs import CallbackSink, JsonlStreamSink, Tracer, get_logger, use_tracer
 from repro.resilience import DesignValidationError
@@ -139,16 +140,28 @@ def build_flow_config(options: dict, *, job_dir: str,
     )
     cfg.run_dp = bool(options.get("run_dp", True))
     for key, value in (options.get("config") or {}).items():
+        # Overrides come from outside: every path must end on a leaf
+        # field of a (sub-)config, and a bool takes only a JSON bool.
+        *path, leaf = str(key).split(".")
         target = cfg
-        parts = str(key).split(".")
-        for part in parts[:-1]:
-            target = getattr(target, part)
-        leaf = parts[-1]
-        if not hasattr(target, leaf):
+        for part in path:
+            target = getattr(target, part, None)
+            if not is_dataclass(target):
+                raise ValueError(f"unknown flow-config override {key!r}")
+        if leaf not in {f.name for f in fields(target)}:
             raise ValueError(f"unknown flow-config override {key!r}")
         current = getattr(target, leaf)
+        if is_dataclass(current):
+            raise ValueError(
+                f"flow-config override {key!r} names a sub-config; "
+                "override its fields one by one"
+            )
         if isinstance(current, bool):
-            value = bool(value)
+            if not isinstance(value, bool):
+                raise ValueError(
+                    f"flow-config override {key!r} takes true or false, "
+                    f"got {value!r}"
+                )
         elif isinstance(current, int) and not isinstance(value, bool):
             value = int(value)
         elif isinstance(current, float):

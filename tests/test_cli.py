@@ -278,6 +278,38 @@ class TestServeCLI:
         assert captured["drain_timeout"] == 9.0
         assert "serving jobs" in capsys.readouterr().out
 
+    def test_submit_set_values_parse_as_json(self, tmp_path, monkeypatch):
+        from repro.serve.worker import build_flow_config
+
+        captured = {}
+
+        class FakeClient:
+            def __init__(self, url):
+                pass
+
+            def submit(self, design, *, options=None, priority=0,
+                       max_retries=None):
+                captured["options"] = options
+                return {"job_id": "j1", "state": "queued"}
+
+        monkeypatch.setattr("repro.serve.ServeClient", FakeClient)
+        rc = main(
+            [
+                "submit", "--suite", "rh01", "--json",
+                "--set", "gp.routability=false",
+                "--set", "gp.max_outer_iterations=8",
+                "--set", "gp.congestion_estimator=router",
+            ]
+        )
+        assert rc == 0
+        assert captured["options"]["config"] == {
+            "gp.routability": False,
+            "gp.max_outer_iterations": 8,
+            "gp.congestion_estimator": "router",
+        }
+        cfg = build_flow_config(captured["options"], job_dir=str(tmp_path))
+        assert cfg.gp.routability is False
+
     def test_jobs_drain_against_live_server(self, tmp_path, capsys):
         from repro.serve import JobServer, ServeSettings
 

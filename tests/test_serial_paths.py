@@ -10,7 +10,10 @@ here:
   are bit-identical;
 * a flow killed in detailed placement resumes bit-identically to an
   uninterrupted run;
-* profiler rows come only from sampled in-process frames.
+* profiler rows come only from sampled in-process frames;
+* the stage-config fields and constructor keywords that no caller set
+  stay gone: each value lives as a constant or callee default beside
+  its one reader.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.baselines.quadratic import QuadraticConfig
 from repro.baselines.random_place import random_placement
 from repro.benchgen import BenchmarkSpec, make_benchmark
 from repro.cli import build_parser
@@ -160,6 +164,51 @@ class TestNoWorkerKnobs:
             ["serve", "--root", "srv", "--workers", "3"]
         )
         assert args.workers == 3
+
+
+# ----------------------------------------------------------------------
+# one value, one place
+# ----------------------------------------------------------------------
+REMOVED_KNOBS = {
+    GPConfig: (
+        "inflation_exponent", "inflation_max", "inflation_total_max",
+        "congestion_threshold", "numerical_guard", "guard_max_retries",
+        "guard_divergence_ratio", "guard_divergence_patience",
+        "guard_backoff", "guard_gamma_inflate", "cluster_ratio",
+        "gamma_factor", "gamma_decay", "lambda_initial_ratio",
+        "lambda_growth", "step_init_bins", "step_max_bins",
+        "inflation_start_overflow", "inflation_interval",
+        "reservation_floor", "fence_weight_initial_ratio",
+        "fence_weight_growth", "orientation_interval",
+        "coarse_iteration_fraction", "target_bins", "verbose",
+    ),
+    DPConfig: (
+        "reorder_window", "swap_candidates", "matching_batch",
+        "spread_max_moves", "congestion_gate_threshold",
+    ),
+    LegalConfig: ("row_probe", "macro_channel"),
+    Legalizer: ("row_probe", "reference"),
+    FlowConfig: (
+        "net_weighting_strength", "net_weighting_max",
+        "timing_weighting_max", "refine_after_macro_legal",
+    ),
+    QuadraticConfig: (
+        "anchor_weight_initial", "anchor_weight_growth", "spread_bins",
+        "spread_strength",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cls,name",
+    [(cls, name) for cls, names in REMOVED_KNOBS.items() for name in names],
+    ids=lambda v: v.__name__ if isinstance(v, type) else v,
+)
+def test_removed_knob_refused(cls, name):
+    # No caller set these; a second copy of a value could only drift.
+    assert name not in inspect.signature(cls.__init__).parameters
+    with pytest.raises(TypeError):
+        cls(**{name: None})
 
 
 # ----------------------------------------------------------------------

@@ -311,16 +311,34 @@ class TestBuildFlowConfig:
         NTUplace4H(cfg).run(make_benchmark(BenchmarkSpec(**SPEC)), route=False)
         assert asdict(cfg) == before
 
-    def test_config_override_type_checked(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown flow-config"):
-            build_flow_config(
-                {"config": {"gp.not_a_knob": 1}}, job_dir=str(tmp_path)
-            )
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"gp.not_a_knob": 1},
+            # Removed fields are refused, not silently ignored.
+            {"gp.lambda_growth": 2.0},
+            {"legal.macro_channel": 1.0},
+            # A path must end on a leaf field of a sub-config.
+            {"gp": {"max_outer_iterations": 12}},
+            {"gp.max_outer_iterations.real": 3},
+            # A bool takes only a JSON bool.
+            {"gp.routability": "false"},
+        ],
+        ids=[
+            "unknown", "removed-gp", "removed-legal", "sub-config",
+            "past-leaf", "bool-from-string",
+        ],
+    )
+    def test_config_override_type_checked(self, tmp_path, override):
+        with pytest.raises(ValueError, match="flow-config override"):
+            build_flow_config({"config": override}, job_dir=str(tmp_path))
         cfg = build_flow_config(
-            {"config": {"gp.max_outer_iterations": 7.0}},
+            {"config": {"gp.max_outer_iterations": 7.0,
+                        "gp.routability": False}},
             job_dir=str(tmp_path),
         )
         assert cfg.gp.max_outer_iterations == 7
+        assert cfg.gp.routability is False
 
 
 def _shm_segments() -> set:
