@@ -1,12 +1,12 @@
 """Detailed-placement & legalization perf-regression harness.
 
 Runs legalization + detailed placement on a deterministic pre-DP
-placement twice — once with ``LegalConfig(reference=True)`` /
-``DPConfig(reference=True)`` (the original per-object Tetris, Abacus,
-audit, scoring, and spreading loops, kept verbatim as the golden
-baseline) and once on the array-based hot paths — verifies the two
-produce *bit-identical* final placements and identical per-pass
-trajectories, and writes a machine-readable ``BENCH_dp.json``.
+placement twice — once on the golden twins of ``tests/reference/`` (the
+original per-object Tetris, Abacus, audit, scoring, and spreading loops,
+installed by ``use_reference()``) and once on the array-based hot paths
+— verifies the two produce *bit-identical* final placements and
+identical per-pass trajectories, and writes a machine-readable
+``BENCH_dp.json``.
 
 Run directly::
 
@@ -35,12 +35,12 @@ import time
 
 import numpy as np
 
-from common import host_metadata
+from common import host_metadata, reference_leg
 
 from repro.benchgen import SUITE, make_suite_design
 from repro.dp import DetailedPlacer, DPConfig
 from repro.gp import initial_placement
-from repro.legal import LegalConfig, Legalizer
+from repro.legal import Legalizer
 from repro.obs import SamplingProfiler, Tracer, format_trace_summary, use_tracer
 
 SEED = 3
@@ -54,10 +54,17 @@ def _run_dp(design_name: str, reference: bool, tracer=None):
     """
     design = make_suite_design(design_name)
     initial_placement(design, seed=SEED)
-    legalizer = Legalizer(LegalConfig(reference=reference))
-    placer = DetailedPlacer(DPConfig(reference=reference))
+    legalizer = Legalizer()
+    placer = DetailedPlacer(DPConfig())
     if tracer is not None:
         with use_tracer(tracer):
+            t0 = time.perf_counter()
+            result = legalizer.legalize(design)
+            t1 = time.perf_counter()
+            report = placer.run(design, result.submap)
+            t2 = time.perf_counter()
+    elif reference:
+        with reference_leg("legal_dp"):
             t0 = time.perf_counter()
             result = legalizer.legalize(design)
             t1 = time.perf_counter()

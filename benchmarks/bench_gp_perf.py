@@ -1,11 +1,11 @@
 """Global-placement perf-regression harness.
 
 Runs :class:`~repro.gp.placer.GlobalPlacer` on a generated suite design
-twice — once with ``GPConfig(reference=True)`` (the original objective,
-density, CG, and orientation code paths, kept verbatim as the golden
-baseline) and once on the optimized hot paths — verifies the two produce
-*bit-identical* final placements, and writes a machine-readable
-``BENCH_gp.json``.
+twice — once on the golden twins of ``tests/reference/`` (the original
+objective, density, CG, and orientation code paths, installed by
+``use_reference()``) and once on the optimized hot paths — verifies the
+two produce *bit-identical* final placements, and writes a
+machine-readable ``BENCH_gp.json``.
 
 Run directly::
 
@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from common import host_metadata
+from common import host_metadata, reference_leg
 
 from repro.benchgen import SUITE, make_suite_design
 from repro.gp.config import GPConfig
@@ -42,10 +42,13 @@ from repro.obs import SamplingProfiler, Tracer, format_trace_summary, use_tracer
 def _run_gp(design_name: str, reference: bool, tracer=None):
     """Place one fresh copy of the design; returns (wall, state, report)."""
     design = make_suite_design(design_name)
-    placer = GlobalPlacer(GPConfig(reference=reference))
+    placer = GlobalPlacer(GPConfig())
     t0 = time.perf_counter()
     if tracer is not None:
         with use_tracer(tracer):
+            report = placer.place(design)
+    elif reference:
+        with reference_leg("gp"):
             report = placer.place(design)
     else:
         report = placer.place(design)

@@ -1,11 +1,11 @@
 """Router perf-regression harness.
 
 Times :class:`~repro.route.router.GlobalRouter` twice on the same
-placement of a generated suite design — once in ``reference=True`` mode
-(the pre-overhaul per-net/dict/scan implementations, kept verbatim as
-the golden baseline) and once on the optimized hot paths — verifies the
-two produce *identical* results, and writes a machine-readable
-``BENCH_route.json``.
+placement of a generated suite design — once on the golden twins of
+``tests/reference/`` (the pre-overhaul per-net/dict/scan
+implementations, installed by ``use_reference()``) and once on the
+optimized hot paths — verifies the two produce *identical* results, and
+writes a machine-readable ``BENCH_route.json``.
 
 Run directly::
 
@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from common import host_metadata
+from common import host_metadata, reference_leg
 
 from repro.baselines.random_place import random_placement
 from repro.benchgen import SUITE, make_suite_design
@@ -70,9 +70,8 @@ def run_bench(design_name: str, repeats: int, seed: int) -> dict:
     arrays = design.pin_arrays()
     cx, cy = design.pull_centers()
 
-    ref_times, ref_result = _time_route(
-        GlobalRouter(spec, reference=True), arrays, cx, cy, repeats
-    )
+    with reference_leg("route"):
+        ref_times, ref_result = _time_route(GlobalRouter(spec), arrays, cx, cy, repeats)
 
     clear_decompose_cache()
     opt_router = GlobalRouter(spec)

@@ -214,8 +214,12 @@ def _cmd_place(args) -> int:
         print(format_trace_summary(tracer, profile=profiler))
     print(format_table([result.as_row()], title="flow result"))
     if not result.legal:
+        # No legality report when legalization and its fallback both
+        # failed; the degradations below say why.
+        report = result.legal_result.report if result.legal_result else None
         _log.warning(
-            "placement is not legal: %s", result.legal_result.report.summary()
+            "placement is not legal: %s",
+            report.summary() if report is not None else "no legal placement",
         )
     if args.out:
         aux = write_bookshelf(design, args.out)
@@ -241,8 +245,6 @@ def _apply_route_knobs(cfg: FlowConfig, args) -> None:
         cfg.route_maze_rounds = args.maze_rounds
     if args.max_maze_nets is not None:
         cfg.route_max_maze_nets = args.max_maze_nets
-    if args.cost_refresh is not None:
-        cfg.route_cost_refresh = args.cost_refresh
 
 
 def _add_route_knobs(p) -> None:
@@ -257,10 +259,6 @@ def _add_route_knobs(p) -> None:
     p.add_argument(
         "--max-maze-nets", type=int, metavar="N",
         help="per-round cap on maze-rerouted segments",
-    )
-    p.add_argument(
-        "--cost-refresh", type=int, metavar="K",
-        help="1 = exact incremental cost refresh; K>1 = full rebuild every K reroutes",
     )
 
 
@@ -305,23 +303,12 @@ def _apply_dp_knobs(cfg: FlowConfig, args) -> None:
     """Copy the detailed-placement flags (when given) onto a flow config."""
     if args.dp_passes is not None:
         cfg.dp.rounds = args.dp_passes
-    if args.dp_reference:
-        # The golden mode spans both post-GP stages: the original
-        # legalization loops and the original DP scoring loops.
-        cfg.dp.reference = True
-        cfg.legal.reference = True
 
 
 def _add_dp_knobs(p) -> None:
     p.add_argument(
         "--dp-passes", type=int, metavar="N",
         help="number of detailed-placement rounds (swap/reorder/matching)",
-    )
-    p.add_argument(
-        "--dp-reference", action="store_true",
-        help="run legalization and detailed placement on the original "
-        "per-object reference paths (bit-identical, slower; for "
-        "equivalence debugging)",
     )
 
 
@@ -342,7 +329,6 @@ def _cmd_route(args) -> int:
                 sweeps=cfg.route_sweeps,
                 maze_rounds=cfg.route_maze_rounds,
                 max_maze_nets=cfg.route_max_maze_nets,
-                cost_refresh=cfg.route_cost_refresh,
             ).route(design)
     except Exception as exc:
         _report_flow_failure(tracer, exc)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry import Orientation, Rect, transform_offset
+from repro.geometry import Orientation, Rect
 from repro.geometry.orientation import _ROTATIONS
 
 # Orientation lookup tables for the vectorized pin transform: enum -> dense
@@ -348,38 +348,16 @@ class Design:
     def movable_indices(self) -> np.ndarray:
         return np.flatnonzero(self.movable_mask())
 
-    def pin_arrays(self, *, reference: bool = False) -> PinArrays:
+    def pin_arrays(self) -> PinArrays:
         """The CSR pin view, rebuilt only when topology/orientation changed.
 
-        The default rebuild keeps the raw N-frame offsets cached and
-        replays the orientation transform vectorized, orientation group by
+        A rebuild keeps the raw N-frame offsets cached and replays the
+        orientation transform vectorized, orientation group by
         orientation group, with the same scalar arithmetic as
         :func:`transform_offset` — the arrays are bit-identical to the
-        original per-pin loop, which ``reference=True`` runs verbatim.
+        original per-pin loop (a golden twin under ``tests/reference/``).
         """
         if self._pin_cache is not None and self._pin_cache_version == self._topology_version:
-            return self._pin_cache
-        if reference:
-            num_pins = self.num_pins
-            pin_node = np.empty(num_pins, dtype=np.int32)
-            pin_dx = np.empty(num_pins)
-            pin_dy = np.empty(num_pins)
-            net_ptr = np.empty(len(self.nets) + 1, dtype=np.int64)
-            net_weight = np.empty(len(self.nets))
-            k = 0
-            net_ptr[0] = 0
-            for i, net in enumerate(self.nets):
-                for pin in net.pins:
-                    node = self.nodes[pin.node]
-                    dx, dy = transform_offset(pin.dx, pin.dy, node.orientation)
-                    pin_node[k] = pin.node
-                    pin_dx[k] = dx
-                    pin_dy[k] = dy
-                    k += 1
-                net_ptr[i + 1] = k
-                net_weight[i] = net.weight
-            self._pin_cache = PinArrays(pin_node, pin_dx, pin_dy, net_ptr, net_weight)
-            self._pin_cache_version = self._topology_version
             return self._pin_cache
         # Orientation bumps leave the structural part untouched.
         struct = self._topology_version - self._orient_version

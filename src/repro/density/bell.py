@@ -22,9 +22,9 @@ is subtracted from each bin's free capacity.
 
 Hot-path layout: this is the single most evaluated kernel of global
 placement (every CG line-search probe computes one potential; only
-accepted probes go on to the gradient), so the optimized path (the
-default) keeps all window-sweep intermediates in preallocated buffers
-and precomputes the per-node kernel coefficients once.  A probe builds
+accepted probes go on to the gradient), so it keeps all window-sweep
+intermediates in preallocated buffers and precomputes the per-node
+kernel coefficients once.  A probe builds
 the x and y windows of all small nodes as one node-minor
 ``(kx+ky, n)`` batch, so every elementwise op runs one long inner loop;
 it evaluates the kernel values only, with no beyond-support mask
@@ -36,10 +36,9 @@ node-minor and scatters them in node-major order with one
 The kernel derivatives wait for the gradient pass, which reuses the
 probe's kernel sums.  Large nodes are walked with plain-slice views and
 a lean scalar-coefficient kernel.  Every product and sum keeps the
-reference's operands and reduction order, so
-``BellDensity(..., reference=True)``, the original allocating
-implementation kept verbatim as the golden baseline, agrees with the
-default to the last bit (``tests/test_gp_perf_equiv.py`` and
+operands and reduction order of the original allocating implementation,
+kept as a golden twin under ``tests/reference/``, so the two agree to
+the last bit (``tests/test_gp_perf_equiv.py`` and
 ``tests/test_density.py``).
 """
 
@@ -91,19 +90,16 @@ class BellDensity:
         fixed_rects=(),
         target_density: float | None = None,
         target_scale: np.ndarray | None = None,
-        reference: bool = False,
     ):
         """``target_scale`` (optional, per bin in [0, 1]) modulates how much
         cell area each bin should attract — the whitespace-reservation
         hook: bins over routing-starved regions get a scale below 1 so
-        the placer leaves room for wires there.  ``reference=True`` keeps
-        the original (pre-overhaul) evaluation path verbatim."""
+        the placer leaves room for wires there."""
         self.grid = grid
         self.widths = np.asarray(widths, dtype=float)
         self.heights = np.asarray(heights, dtype=float)
         self.movable = np.asarray(movable_mask, dtype=bool)
         self.num_nodes = len(self.widths)
-        self.reference = bool(reference)
         # Effective spreading areas; congestion inflation overwrites these.
         self.areas = self.widths * self.heights
         # Free capacity per bin after fixed objects.
@@ -144,13 +140,13 @@ class BellDensity:
             self._ky = int(span_y[small].max())
         else:
             self._kx = self._ky = 0
-        # Optimized-path precomputation: node-constant kernel coefficients
+        # Precomputation: node-constant kernel coefficients
         # for the fused x|y window batch, laid out node-minor (rows ``0:kx``
         # carry the x-axis coefficients, ``kx:kx+ky`` the y-axis ones, one
         # column per node, so one kernel batch covers both axes in long
         # inner loops), the per-row grid constants of that batch, and the
         # stacked coefficient columns of the batched large-node path.
-        if len(small) and not self.reference:
+        if len(small):
             grid = self.grid
             w = self.widths[small]
             h = self.heights[small]
@@ -187,7 +183,7 @@ class BellDensity:
                 + np.arange(ky, dtype=np.int64)[None, :]
             ).reshape(-1)
         self._lg_idx = large
-        if len(large) and not self.reference:
+        if len(large):
             wl = self.widths[large]
             hl = self.heights[large]
             self._lg_rx = wl / 2.0 + 2.0 * wb
@@ -235,7 +231,7 @@ class BellDensity:
         return self._target_cache
 
     # ------------------------------------------------------------------
-    # buffer management (optimized path)
+    # buffer management
     # ------------------------------------------------------------------
     def _buf(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         buf = self._bufs.get(name)
@@ -257,7 +253,7 @@ class BellDensity:
 
         The outer piece is evaluated on ``min(|d|, r2)``: beyond the
         support that offset is exactly +0, so ``b*q*q`` is the +0 the
-        reference writes there and only the inner piece needs a mask.
+        original kernel writes there and only the inner piece needs a mask.
         ``|d|``, the offset and the inner mask stay in ``prefix`` buffers
         for :meth:`_bell_slope`.
         """
@@ -301,7 +297,7 @@ class BellDensity:
         kernel tables; the caller owns the scatter of ``contrib`` into the
         field.  Window cells that fall off the grid get the distance +inf,
         so their kernel value and derivative are the exact +0 the
-        reference masks in; their ``flat`` index is only clamped into
+        original kernel masks in; their ``flat`` index is only clamped into
         range, because a +0 weight leaves every bin sum and every gradient
         product unchanged wherever it lands.  The kernel derivatives are
         left to :meth:`_small_grad`.
@@ -339,7 +335,7 @@ class BellDensity:
         pt = self._buf("pt", (kt, n))
         self._bell_value(d, self._sm_r1, self._sm_r2, self._sm_a, self._sm_b, pt, "k")
         # node-major tables: the kernel sums (and the gradient's window
-        # sums) must reduce each node's row exactly as the reference does
+        # sums) must reduce each node's row exactly as the original does
         p = self._buf("p", (n, kt))
         np.copyto(p, pt.T)
         px = p[:, :kx]
@@ -385,8 +381,6 @@ class BellDensity:
         Returns ``(phi, small_tables, large_tables)``; the tables carry
         what the gradient pass needs so kernels are evaluated once.
         """
-        if self.reference:
-            return self._potential_reference(cx, cy)
         grid = self.grid
         small_tables = None
         phi = None
@@ -501,87 +495,9 @@ class BellDensity:
             )
         return large_tables
 
-    def _potential_reference(self, cx: np.ndarray, cy: np.ndarray):
-        """The original allocating potential evaluation, verbatim."""
-        grid = self.grid
-        phi = grid.zeros()
-        small_tables = None
-        if len(self._small):
-            idx = self._small
-            u = cx[idx]
-            v = cy[idx]
-            w = self.widths[idx]
-            h = self.heights[idx]
-            wb, hb = grid.bin_w, grid.bin_h
-            rx = w / 2.0 + 2.0 * wb
-            ry = h / 2.0 + 2.0 * hb
-            ix0 = np.ceil((u - rx - grid.area.xl) / wb - 0.5).astype(np.int64)
-            iy0 = np.ceil((v - ry - grid.area.yl) / hb - 0.5).astype(np.int64)
-            ks = np.arange(self._kx)
-            ls = np.arange(self._ky)
-            ix_all = ix0[:, None] + ks[None, :]
-            iy_all = iy0[:, None] + ls[None, :]
-            bin_cx = grid.area.xl + (ix_all + 0.5) * wb
-            bin_cy = grid.area.yl + (iy_all + 0.5) * hb
-            px, dpx = bell_kernel(u[:, None] - bin_cx, w[:, None], wb)
-            py, dpy = bell_kernel(v[:, None] - bin_cy, h[:, None], hb)
-            valid_x = (ix_all >= 0) & (ix_all < grid.nx)
-            valid_y = (iy_all >= 0) & (iy_all < grid.ny)
-            px = np.where(valid_x, px, 0.0)
-            dpx = np.where(valid_x, dpx, 0.0)
-            py = np.where(valid_y, py, 0.0)
-            dpy = np.where(valid_y, dpy, 0.0)
-            sum_px = px.sum(axis=1)
-            sum_py = py.sum(axis=1)
-            mass = sum_px * sum_py
-            norm = np.where(mass > 0, self.areas[idx] / np.maximum(mass, 1e-30), 0.0)
-            # One flattened scatter instead of Kx*Ky passes.
-            flat = (
-                np.clip(ix_all, 0, grid.nx - 1)[:, :, None] * grid.ny
-                + np.clip(iy_all, 0, grid.ny - 1)[:, None, :]
-            )
-            contrib = (norm[:, None] * px)[:, :, None] * py[:, None, :]
-            np.add.at(phi.reshape(-1), flat.reshape(-1), contrib.reshape(-1))
-            small_tables = (idx, flat, px, dpx, py, dpy, norm)
-        large_tables = []
-        for i in self._large:
-            entry = self._large_node_kernel(i, cx[i], cy[i])
-            if entry is None:
-                continue
-            sl_x, sl_y, px, dpx, py, dpy, norm = entry
-            phi[np.ix_(sl_x, sl_y)] += norm * np.outer(px, py)
-            large_tables.append((i, sl_x, sl_y, px, dpx, py, dpy, norm))
-        return phi, small_tables, large_tables
-
-    def _large_node_kernel(self, i: int, u: float, v: float):
-        grid = self.grid
-        wb, hb = grid.bin_w, grid.bin_h
-        w, h = self.widths[i], self.heights[i]
-        rx = w / 2.0 + 2.0 * wb
-        ry = h / 2.0 + 2.0 * hb
-        ix0 = max(0, int(np.ceil((u - rx - grid.area.xl) / wb - 0.5)))
-        ix1 = min(grid.nx - 1, int(np.floor((u + rx - grid.area.xl) / wb - 0.5)))
-        iy0 = max(0, int(np.ceil((v - ry - grid.area.yl) / hb - 0.5)))
-        iy1 = min(grid.ny - 1, int(np.floor((v + ry - grid.area.yl) / hb - 0.5)))
-        if ix1 < ix0 or iy1 < iy0:
-            return None
-        sl_x = np.arange(ix0, ix1 + 1)
-        sl_y = np.arange(iy0, iy1 + 1)
-        bin_cx = grid.area.xl + (sl_x + 0.5) * wb
-        bin_cy = grid.area.yl + (sl_y + 0.5) * hb
-        px, dpx = bell_kernel(u - bin_cx, w, wb)
-        py, dpy = bell_kernel(v - bin_cy, h, hb)
-        mass = px.sum() * py.sum()
-        if mass <= 0:
-            return None
-        norm = self.areas[i] / mass
-        return sl_x, sl_y, px, dpx, py, dpy, norm
-
     # ------------------------------------------------------------------
     def value_grad(self, cx: np.ndarray, cy: np.ndarray):
         """Penalty ``sum_b (phi_b - target_b)^2`` and its node gradient."""
-        if self.reference:
-            return self._value_grad_reference(cx, cy)
         phi, small_tables, large_tables = self.potential(cx, cy)
         psi = phi - self.target()
         value = float(np.sum(psi * psi))
@@ -594,23 +510,16 @@ class BellDensity:
         With :meth:`finish_grad` this splits one ``value_grad`` into the
         cheap half the line search always needs and the gradient half
         only accepted points need; both halves run the same ops as
-        ``value_grad``, so the split pair is bit-identical to it.  In
-        reference mode it evaluates ``value_grad`` and caches the result.
+        ``value_grad``, so the split pair is bit-identical to it.
         """
-        if self.reference:
-            value, gx, gy = self.value_grad(cx, cy)
-            self._probe = ("full", gx, gy)
-            return value
         phi, small_tables, large_tables = self.potential(cx, cy)
         psi = phi - self.target()
-        self._probe = ("split", psi, small_tables, large_tables)
+        self._probe = (psi, small_tables, large_tables)
         return float(np.sum(psi * psi))
 
     def finish_grad(self):
         """Gradients of the last :meth:`value_probe` point."""
-        if self._probe[0] == "full":
-            return self._probe[1], self._probe[2]
-        _, psi, small_tables, large_tables = self._probe
+        psi, small_tables, large_tables = self._probe
         return self._grad_from_tables(psi, small_tables, large_tables)
 
     def _small_grad(self, psi, small_tables):
@@ -695,42 +604,6 @@ class BellDensity:
                 float(t @ dpy) - gpp * s_dpy / sum_py
             )
         return grad_x, grad_y
-
-    def _value_grad_reference(self, cx: np.ndarray, cy: np.ndarray):
-        """The original allocating gradient evaluation, verbatim."""
-        phi, small_tables, large_tables = self._potential_reference(cx, cy)
-        psi = phi - self.target()
-        value = float(np.sum(psi * psi))
-        grad_x = np.zeros(self.num_nodes)
-        grad_y = np.zeros(self.num_nodes)
-        # The kernel mass sum_k p(k) varies with a node's phase relative to
-        # the bin grid, so the normalization N = area / (Sx * Sy) is itself
-        # position dependent; including dN makes the gradient exact.
-        if small_tables is not None:
-            idx, flat, px, dpx, py, dpy, norm = small_tables
-            field = psi.reshape(-1)[flat]  # (n, Kx, Ky), one gather
-            fy = field * py[:, None, :]
-            gx = (fy * dpx[:, :, None]).sum(axis=(1, 2))
-            gpp = (fy * px[:, :, None]).sum(axis=(1, 2))
-            gy = (field * px[:, :, None] * dpy[:, None, :]).sum(axis=(1, 2))
-            sum_px = np.maximum(px.sum(axis=1), 1e-30)
-            sum_py = np.maximum(py.sum(axis=1), 1e-30)
-            sum_dpx = dpx.sum(axis=1)
-            sum_dpy = dpy.sum(axis=1)
-            grad_x[idx] = 2.0 * norm * (gx - gpp * sum_dpx / sum_px)
-            grad_y[idx] = 2.0 * norm * (gy - gpp * sum_dpy / sum_py)
-        for i, sl_x, sl_y, px, dpx, py, dpy, norm in large_tables:
-            field = psi[np.ix_(sl_x, sl_y)]
-            gpp = float(px @ field @ py)
-            sum_px = max(float(px.sum()), 1e-30)
-            sum_py = max(float(py.sum()), 1e-30)
-            grad_x[i] = 2.0 * norm * (
-                float(dpx @ field @ py) - gpp * float(dpx.sum()) / sum_px
-            )
-            grad_y[i] = 2.0 * norm * (
-                float(px @ field @ dpy) - gpp * float(dpy.sum()) / sum_py
-            )
-        return value, grad_x, grad_y
 
     def value(self, cx: np.ndarray, cy: np.ndarray) -> float:
         phi, _, _ = self.potential(cx, cy)

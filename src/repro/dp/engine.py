@@ -25,10 +25,6 @@ class DPConfig:
     """Knobs of :class:`DetailedPlacer`."""
 
     rounds: int = 2
-    global_swap: bool = True
-    vertical_swap: bool = True
-    local_reorder: bool = True
-    matching: bool = True
     # Congestion gating: moves into tiles whose estimated congestion
     # exceeds CONGESTION_GATE_THRESHOLD are rejected (requires
     # design.routing).
@@ -38,11 +34,6 @@ class DPConfig:
     congestion_spread: bool = True
     spread_threshold: float = 0.9
     min_gain_per_round: float = 1e-6
-    # Golden mode: run the original per-pin scoring loops (kept verbatim
-    # in IncrementalHPWL) instead of the batched NumPy hot paths.  Results
-    # are bit-identical either way — CI and the equivalence tests assert
-    # it — so this exists to prove that, and to debug any future drift.
-    reference: bool = False
 
 
 @dataclass
@@ -85,12 +76,8 @@ class DetailedPlacer:
         tracer = get_tracer()
         t0 = time.perf_counter()
         report = DPReport(hpwl_before=design.hpwl())
-        inc = IncrementalHPWL(design, reference=cfg.reference)
-        gate = (
-            self._make_gate(design, reference=cfg.reference)
-            if cfg.congestion_aware
-            else None
-        )
+        inc = IncrementalHPWL(design)
+        gate = self._make_gate(design) if cfg.congestion_aware else None
         pass_t0 = time.perf_counter()
 
         def note(name: str, accepted: int, gain: float) -> float:
@@ -111,24 +98,20 @@ class DetailedPlacer:
                 break
             with tracer.span(f"round[{rnd}]"):
                 round_gain = 0.0
-                if cfg.global_swap:
-                    with tracer.span("global_swap"):
-                        acc, gain = global_swap_pass(design, inc, gate=gate)
-                    round_gain += note("global_swap", acc, gain)
-                if cfg.vertical_swap:
-                    with tracer.span("vertical_swap"):
-                        acc, gain = vertical_swap_pass(design, inc, gate=gate)
-                    round_gain += note("vertical_swap", acc, gain)
-                if cfg.local_reorder:
-                    # Swap passes move cells between rows; refresh membership.
-                    with tracer.span("local_reorder"):
-                        submap.rebuild_cells(design)
-                        acc, gain = local_reorder_pass(design, inc, submap)
-                    round_gain += note("local_reorder", acc, gain)
-                if cfg.matching:
-                    with tracer.span("matching"):
-                        acc, gain = matching_pass(design, inc, gate=gate)
-                    round_gain += note("matching", acc, gain)
+                with tracer.span("global_swap"):
+                    acc, gain = global_swap_pass(design, inc, gate=gate)
+                round_gain += note("global_swap", acc, gain)
+                with tracer.span("vertical_swap"):
+                    acc, gain = vertical_swap_pass(design, inc, gate=gate)
+                round_gain += note("vertical_swap", acc, gain)
+                # Swap passes move cells between rows; refresh membership.
+                with tracer.span("local_reorder"):
+                    submap.rebuild_cells(design)
+                    acc, gain = local_reorder_pass(design, inc, submap)
+                round_gain += note("local_reorder", acc, gain)
+                with tracer.span("matching"):
+                    acc, gain = matching_pass(design, inc, gate=gate)
+                round_gain += note("matching", acc, gain)
             if round_gain < cfg.min_gain_per_round * max(report.hpwl_before, 1.0):
                 break
         if (
@@ -151,7 +134,7 @@ class DetailedPlacer:
         report.runtime_seconds = time.perf_counter() - t0
         return report
 
-    def _make_gate(self, design, *, reference: bool = False):
+    def _make_gate(self, design):
         """Reject moves whose destination tile is congested (estimated)."""
         if design.routing is None:
             return None
@@ -165,26 +148,10 @@ class DetailedPlacer:
         with np.errstate(divide="ignore", invalid="ignore"):
             cong = np.where(supply > 0, demand / np.maximum(supply, 1e-12), 0.0)
         threshold = CONGESTION_GATE_THRESHOLD
-
-        if reference:
-
-            def gate(moves) -> bool:
-                for idx, nx, ny in moves:
-                    sx, sy = grid.index_of(
-                        design.nodes[idx].cx, design.nodes[idx].cy
-                    )
-                    dx, dy = grid.index_of(nx, ny)
-                    dest = cong[int(dx), int(dy)]
-                    src = cong[int(sx), int(sy)]
-                    if dest > threshold and dest > src + 0.05:
-                        return False
-                return True
-
-            return gate
-
         # Scalar tile lookup: identical arithmetic to BinGrid.index_of
         # (floor + clamp on the same float64 expressions) without the
-        # per-move ndarray round trips.
+        # per-move ndarray round trips of the original gate (a golden
+        # twin under tests/reference/).
         xl0 = grid.area.xl
         yl0 = grid.area.yl
         bw = grid.bin_w

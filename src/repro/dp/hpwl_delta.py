@@ -6,24 +6,21 @@ keeps per-net pin coordinates and bounding boxes and answers "what would
 the HPWL delta be if these nodes moved to these centres" in time
 proportional to the number of pins on the affected nets.
 
-Two code paths live side by side, selected by ``reference``:
+The bookkeeping runs on the CSR node→net / node→pin incidence from
+:meth:`Design.node_incidence`, with dirty-net pin gathers,
+``np.minimum/maximum.reduceat`` bounding boxes, and a batched
+:meth:`score_moves` that prices every candidate move set of a pass in one
+NumPy evaluation.
 
-* ``reference=True`` — the original per-pin Python loops, kept as the
-  golden baseline.
-* the default — the same bookkeeping on the CSR node→net / node→pin
-  incidence from :meth:`Design.node_incidence`, with dirty-net pin
-  gathers, ``np.minimum/maximum.reduceat`` bounding boxes, and a batched
-  :meth:`score_moves` that prices every candidate move set of a pass in
-  one NumPy evaluation.
-
-Both modes honour one summation contract so their results are
+It honours the summation contract of the original per-pin Python loops
+(golden twins under ``tests/reference/``), so the results are
 *bit-identical*: a delta is the sum of per-net terms
 ``w · ((xh'−xl') + (yh'−yl') − before)`` accumulated sequentially over
 the affected nets in ascending net order.  Per-net bounds are pure
 min/max reductions, which are associativity-insensitive, so the
 vectorized reductions reproduce the scalar comparison loops bit for bit;
-only the accumulation order of the final sum matters, and both paths fix
-it the same way.
+only the accumulation order of the final sum matters, and both fix it the
+same way.
 """
 
 from __future__ import annotations
@@ -63,9 +60,8 @@ def _multi_arange(starts, counts):
 class IncrementalHPWL:
     """Maintains per-net bounding boxes under node moves."""
 
-    def __init__(self, design, *, reference: bool = False):
+    def __init__(self, design):
         self.design = design
-        self.reference = bool(reference)
         arrays = design.pin_arrays()
         self.arrays = arrays
         cx, cy = design.pull_centers()
@@ -103,11 +99,7 @@ class IncrementalHPWL:
         n = arrays.num_nets
         self._bb = np.zeros((n, 4))  # xl, xh, yl, yh
         if n:
-            if self.reference:
-                for net in range(n):
-                    self._refresh_bbox(net)
-            else:
-                self._refresh_bboxes(np.arange(n, dtype=np.int64))
+            self._refresh_bboxes(np.arange(n, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # bounding-box maintenance
@@ -204,8 +196,6 @@ class IncrementalHPWL:
         Evaluates affected nets exactly (handles several nodes on one
         net).  Does not mutate state.
         """
-        if self.reference:
-            return self._delta_for_moves_reference(moves)
         if not moves:
             return 0.0
         nets = self._affected_nets([idx for idx, _, _ in moves])
@@ -238,45 +228,6 @@ class IncrementalHPWL:
             delta += t
         return float(delta)
 
-    def _delta_for_moves_reference(self, moves) -> float:
-        nets = {n for idx, _, _ in moves for n in self.node_nets[idx]}
-        new_pos = {idx: (nx, ny) for idx, nx, ny in moves}
-        pin_node = self.arrays.pin_node
-        pin_dx = self.arrays.pin_dx
-        pin_dy = self.arrays.pin_dy
-        delta = 0.0
-        for n in sorted(nets):  # ascending net order: the summation contract
-            start = int(self.net_ptr[n])
-            stop = int(self.net_ptr[n + 1])
-            if stop - start < 2:
-                continue
-            bb = self._bb[n]
-            before = (bb[1] - bb[0]) + (bb[3] - bb[2])
-            xl = xh = yl = yh = None
-            for k in range(start, stop):
-                nd = int(pin_node[k])
-                pos = new_pos.get(nd)
-                if pos is None:
-                    x = self.px[k]
-                    y = self.py[k]
-                else:
-                    x = pos[0] + pin_dx[k]
-                    y = pos[1] + pin_dy[k]
-                if xl is None:
-                    xl = xh = x
-                    yl = yh = y
-                else:
-                    if x < xl:
-                        xl = x
-                    elif x > xh:
-                        xh = x
-                    if y < yl:
-                        yl = y
-                    elif y > yh:
-                        yh = y
-            delta += self.weights[n] * ((xh - xl) + (yh - yl) - before)
-        return float(delta)
-
     def score_moves(self, move_sets) -> np.ndarray:
         """Batched :meth:`delta_for_moves` over many candidate move sets.
 
@@ -285,10 +236,6 @@ class IncrementalHPWL:
         Nothing is mutated, so callers may score speculative candidates
         freely and apply only the winner.
         """
-        if self.reference:
-            return np.array(
-                [self.delta_for_moves(ms) for ms in move_sets], dtype=float
-            )
         n_sets = len(move_sets)
         if n_sets == 0:
             return np.zeros(0)
@@ -422,14 +369,11 @@ class IncrementalHPWL:
     # ------------------------------------------------------------------
     def apply_moves(self, moves) -> None:
         """Commit moves: update cached coordinates and the design nodes."""
-        if self.reference:
-            self._apply_moves_reference(moves)
-            return
         if not moves:
             return
         # Commit lists are tiny (1-3 moves), so per-pin scalar writes and
         # per-net slice refreshes beat array temporaries.  The float64
-        # expressions match the reference update exactly.
+        # expressions match the original per-net update exactly.
         pin_dx = self.arrays.pin_dx
         pin_dy = self.arrays.pin_dy
         px = self.px
@@ -449,25 +393,6 @@ class IncrementalHPWL:
             self._refresh_bboxes(
                 self._affected_nets([idx for idx, _, _ in moves])
             )
-
-    def _apply_moves_reference(self, moves) -> None:
-        for idx, ncx, ncy in moves:
-            node = self.design.nodes[idx]
-            node.move_center_to(ncx, ncy)
-            self.cx[idx] = ncx
-            self.cy[idx] = ncy
-        pin_node = self.arrays.pin_node
-        nets = sorted({n for idx, _, _ in moves for n in self.node_nets[idx]})
-        moved = {idx for idx, _, _ in moves}
-        for n in nets:
-            start = int(self.net_ptr[n])
-            stop = int(self.net_ptr[n + 1])
-            for k in range(start, stop):
-                nd = int(pin_node[k])
-                if nd in moved:
-                    self.px[k] = self.cx[nd] + self.arrays.pin_dx[k]
-                    self.py[k] = self.cy[nd] + self.arrays.pin_dy[k]
-            self._refresh_bbox(n)
 
     # ------------------------------------------------------------------
     def optimal_region(self, idx: int):
@@ -507,11 +432,10 @@ class IncrementalHPWL:
         ``cells``.  The batched path masks each cell's own pins to ±inf,
         reduces other-pin extremes per (cell, net) pair with ``reduceat``,
         and takes group medians by sorting within cell segments — all
-        bit-identical to calling :meth:`optimal_region` per cell, which is
-        exactly what reference mode does.
+        bit-identical to calling :meth:`optimal_region` per cell.
         """
         cells = [int(c) for c in cells]
-        if self.reference or len(cells) <= 1:
+        if len(cells) <= 1:
             return {c: self.optimal_region(c) for c in cells}
         cells_arr = np.asarray(cells, dtype=np.int64)
         nn_counts = self._nn_ptr[cells_arr + 1] - self._nn_ptr[cells_arr]

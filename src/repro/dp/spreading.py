@@ -7,14 +7,13 @@ exactly (cells move into verified sub-row gaps).  HPWL is allowed to
 degrade by a bounded amount per move — trading wirelength for
 routability is the point.
 
-Two code paths live side by side, selected by ``inc.reference``: the
-original per-object scan (kept verbatim as the golden baseline) and a
-hot path that caches sub-row free intervals (invalidated only for the
-two sub-rows an accepted move touches), resolves each cell's owning
-sub-row through per-sub-row membership sets, and maps coordinates to
-congestion tiles with scalar arithmetic instead of ndarray round trips.
-Both paths visit candidates in the same order and compare with the same
-scalar semantics, so the chosen moves are bit-identical.
+The scan caches sub-row free intervals (invalidated only for the two
+sub-rows an accepted move touches), resolves each cell's owning sub-row
+through per-sub-row membership sets, and maps coordinates to congestion
+tiles with scalar arithmetic instead of ndarray round trips.  It visits
+candidates in the same order and compares with the same scalar semantics
+as the original per-object scan (a golden twin under
+``tests/reference/``), so the chosen moves are bit-identical.
 """
 
 from __future__ import annotations
@@ -64,16 +63,28 @@ def congestion_spread_pass(
 
     if inc is None:
         inc = IncrementalHPWL(design)
-    if inc.reference:
-        return _spread_reference(
-            design,
-            submap,
-            inc,
-            threshold=threshold,
-            max_moves=max_moves,
-            max_distance=max_distance,
-            hpwl_slack=hpwl_slack,
-        )
+    return _spread(
+        design,
+        submap,
+        inc,
+        threshold=threshold,
+        max_moves=max_moves,
+        max_distance=max_distance,
+        hpwl_slack=hpwl_slack,
+    )
+
+
+def _spread(
+    design,
+    submap,
+    inc,
+    *,
+    threshold: float,
+    max_moves: int,
+    max_distance: float | None,
+    hpwl_slack: float,
+) -> tuple:
+    """The spreading scan behind :func:`congestion_spread_pass`."""
     grid = design.routing.grid
     arrays = design.pin_arrays()
     cx, cy = design.pull_centers()
@@ -194,98 +205,6 @@ def congestion_spread_pass(
         members_of(sr).add(idx)
         interval_cache.pop(id(src_sr), None)
         interval_cache.pop(id(sr), None)
-        moves += 1
-        total_delta += delta
-    return moves, total_delta
-
-
-def _spread_reference(
-    design,
-    submap,
-    inc,
-    *,
-    threshold: float,
-    max_moves: int,
-    max_distance: float | None,
-    hpwl_slack: float,
-) -> tuple:
-    """The original per-object spreading loop (golden baseline)."""
-    grid = design.routing.grid
-    arrays = design.pin_arrays()
-    cx, cy = design.pull_centers()
-    demand = rudy_map(arrays, cx, cy, grid)
-    supply = (
-        design.routing.hcap * grid.bin_h + design.routing.vcap * grid.bin_w
-    ) / grid.bin_area
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cong = np.where(supply > 0, demand / np.maximum(supply, 1e-12), 0.0)
-
-    if max_distance is None:
-        max_distance = 0.25 * max(design.core.width, design.core.height)
-    hpwl_budget = hpwl_slack * max(design.hpwl(), 1.0)
-
-    submap.rebuild_cells(design)
-
-    def tile_of(x, y):
-        ix, iy = grid.index_of(x, y)
-        return int(ix), int(iy)
-
-    # Hot cells, hottest tiles first, low pin count first (cheap to move).
-    hot_cells = []
-    for node in design.nodes:
-        if not node.is_movable or node.kind is not NodeKind.CELL:
-            continue
-        ix, iy = tile_of(node.cx, node.cy)
-        if cong[ix, iy] > threshold:
-            hot_cells.append((-cong[ix, iy], len(node.pins), node.index))
-    hot_cells.sort()
-
-    moves = 0
-    total_delta = 0.0
-    for _, _, idx in hot_cells:
-        if moves >= max_moves:
-            break
-        node = design.nodes[idx]
-        src_sr = None
-        for sr in submap.for_region(node.region):
-            if idx in sr.cells:
-                src_sr = sr
-                break
-        if src_sr is None:
-            continue
-        best = None
-        best_cost = float("inf")
-        for sr in submap.for_region(node.region):
-            if abs(sr.y - node.y) > max_distance:
-                continue
-            for lo, hi in _free_intervals(design, sr):
-                if hi - lo < node.placed_width - 1e-9:
-                    continue
-                # Candidate x nearest to the cell inside the gap.
-                x = min(max(node.x, lo), hi - node.placed_width)
-                x = sr.snap_x(x, node.placed_width)
-                if x < lo - 1e-9 or x + node.placed_width > hi + 1e-9:
-                    continue
-                ncx = x + node.placed_width / 2.0
-                ncy = sr.y + node.placed_height / 2.0
-                tix, tiy = tile_of(ncx, ncy)
-                if cong[tix, tiy] > threshold * 0.9:
-                    continue  # destination must actually be cooler
-                dist = abs(ncx - node.cx) + abs(ncy - node.cy)
-                if dist > max_distance or dist < 1e-9:
-                    continue
-                if dist < best_cost:
-                    best_cost = dist
-                    best = (sr, x, ncx, ncy)
-        if best is None:
-            continue
-        sr, x, ncx, ncy = best
-        delta = inc.delta_for_moves([(idx, ncx, ncy)])
-        if delta > hpwl_budget:
-            continue
-        inc.apply_moves([(idx, ncx, ncy)])
-        src_sr.cells.remove(idx)
-        sr.cells.append(idx)
         moves += 1
         total_delta += delta
     return moves, total_delta

@@ -14,9 +14,9 @@ from the design after every committed swap, so scoring sees exactly what
 re-reading the nodes would — bit for bit.  ``_SlotIndex`` buckets by
 exact integer site-width keys (``round(placed_width / site_width)``)
 rather than ``round(width, 6)`` floats, so near-equal widths can't land
-in different buckets on different platforms; reference mode keeps the
-original sorted-list/bisect construction, the default builds the same
-ordering with one global ``np.lexsort`` and ``searchsorted`` lookups.
+in different buckets on different platforms, and builds the ordering of
+the original grouped sorted lists (a golden twin under
+``tests/reference/``) with one global ``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ class _SlotIndex:
     from the design after every accepted swap.
     """
 
-    def __init__(self, design, cells, *, reference: bool = False):
+    def __init__(self, design, cells):
         self.design = design
-        self.reference = bool(reference)
         num = len(design.nodes)
         # Live position mirrors: always equal to node.cx/node.cy/node.y.
         self.mx = [0.0] * num
@@ -68,28 +67,20 @@ class _SlotIndex:
             wkey = round(node.placed_width / site)
             self._key_of[idx] = (wkey, rid)
             entries.append((wkey, rid, cx, cy, idx))
-        self.buckets = {}
-        if not entries:
-            return
-        if self.reference:
-            grouped: dict = {}
-            for wkey, rid, cx, cy, idx in entries:
-                grouped.setdefault((wkey, rid), []).append((cx, cy, idx))
-            for key, bucket in grouped.items():
-                bucket.sort()
-                self.buckets[key] = (
-                    [e[0] for e in bucket],
-                    [e[2] for e in bucket],
-                    None,
-                )
-            return
+        self.buckets = self._bucket(entries) if entries else {}
+
+    @staticmethod
+    def _bucket(entries) -> dict:
+        """``{(wkey, rid): (xs, ids)}`` from ``(wkey, rid, cx, cy, idx)``
+        entries, each bucket's lists sorted by ``(cx, cy, idx)``."""
+        buckets = {}
         wk = np.array([e[0] for e in entries], dtype=np.int64)
         rid_a = np.array([e[1] for e in entries], dtype=np.int64)
         cx_a = np.array([e[2] for e in entries])
         cy_a = np.array([e[3] for e in entries])
         id_a = np.array([e[4] for e in entries], dtype=np.int64)
-        # Global sort: bucket keys first, then the reference tuple order
-        # (cx, cy, idx) within each bucket.
+        # Global sort: bucket keys first, then the (cx, cy, idx) tuple
+        # order within each bucket.
         order = np.lexsort((id_a, cy_a, cx_a, rid_a, wk))
         wk = wk[order]
         rid_a = rid_a[order]
@@ -101,8 +92,8 @@ class _SlotIndex:
             a = int(a)
             b = int(b)
             key = (int(wk[a]), int(rid_a[a]))
-            xs_arr = cx_s[a:b]
-            self.buckets[key] = (xs_arr.tolist(), id_s[a:b].tolist(), xs_arr)
+            buckets[key] = (cx_s[a:b].tolist(), id_s[a:b].tolist())
+        return buckets
 
     def note_moved(self, idx: int) -> None:
         """Refresh the mirrors of ``idx`` from the design after a move."""
@@ -119,11 +110,8 @@ class _SlotIndex:
         entry = self.buckets.get(self._key_of.get(idx))
         if not entry:
             return []
-        xs, ids, xs_arr = entry
-        if xs_arr is None:
-            pos = bisect.bisect_left(xs, x)
-        else:
-            pos = int(xs_arr.searchsorted(x, side="left"))
+        xs, ids = entry
+        pos = bisect.bisect_left(xs, x)
         mx = self.mx
         my = self.my
         ny = self.ny
@@ -183,10 +171,9 @@ def _swap_sweep(
         if n.is_movable and n.kind is NodeKind.CELL
     ]
     # All optimal regions come from the pass-start placement: one batched
-    # median evaluation (reference mode computes the same values with the
-    # per-cell loop).
+    # median evaluation.
     regions = inc.optimal_regions(cells)
-    index = _SlotIndex(design, cells, reference=inc.reference)
+    index = _SlotIndex(design, cells)
     site = design.site_width
     mx = index.mx
     my = index.my

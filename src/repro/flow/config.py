@@ -31,9 +31,6 @@ class FlowConfig:
     route_sweeps: int = 2
     route_maze_rounds: int = 3
     route_max_maze_nets: int = 1500  # per-round cap on maze reroutes
-    # 1 = incremental cost refresh after every rip/commit (exact);
-    # k > 1 = full cost rebuild every k reroutes (faster, coarser).
-    route_cost_refresh: int = 1
 
     # Resilience (see docs/robustness.md).
     # Validate the design at flow entry and refuse to run on fatal issues.

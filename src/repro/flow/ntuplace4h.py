@@ -400,7 +400,6 @@ class NTUplace4H:
                                 sweeps=cfg.route_sweeps,
                                 maze_rounds=cfg.route_maze_rounds,
                                 max_maze_nets=cfg.route_max_maze_nets,
-                                cost_refresh=cfg.route_cost_refresh,
                             )
                             rr = router.route(
                                 design, should_stop=watchdog.expired

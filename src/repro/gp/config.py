@@ -57,8 +57,3 @@ class GPConfig:
 
     # Misc.
     seed: int = 7
-    # Golden-equivalence mode: run the original (pre-overhaul) wirelength,
-    # density, CG, and objective-assembly implementations verbatim.  The
-    # optimized default must produce bit-identical objective values,
-    # gradients, and final placements; tests and bench_gp_perf.py assert it.
-    reference: bool = False

@@ -47,7 +47,6 @@ class CongestionInflator:
         predict_model: str | None = None,
         router_interval: int = 4,
         drift_tol: float = 0.75,
-        reference: bool = False,
     ):
         if design.routing is None:
             raise ValueError("congestion inflation requires design.routing")
@@ -65,7 +64,6 @@ class CongestionInflator:
         self.predict_model = predict_model
         self.router_interval = max(1, int(router_interval))
         self.drift_tol = float(drift_tol)
-        self.reference = bool(reference)
         w, h = design.placed_sizes()
         self.base_areas = w * h
         self.factors = np.ones(len(design.nodes))
@@ -108,8 +106,7 @@ class CongestionInflator:
             "fallback_round": None,
             "final_drift": None,
         }
-        # Reused scratch grids for the RUDY estimate (allocated lazily;
-        # the golden reference path keeps the original allocating code).
+        # Reused scratch grids for the RUDY estimate (allocated lazily).
         self._rudy_buf = None
         self._pin_buf = None
         self._pin_term = None
@@ -138,19 +135,6 @@ class CongestionInflator:
 
     def _rudy_map(self, arrays, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         grid = self.spec.grid
-        if self.reference:
-            # Original allocating path, kept verbatim for golden mode.
-            demand = rudy_map(
-                arrays, cx, cy, grid, wire_width=self.wire_width, reference=True
-            )
-            pins = pin_density_map(arrays, cx, cy, grid)
-            self._calibrate(demand, pins)
-            demand = demand + self.pin_weight * self._pin_norm * pins
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cong = np.where(
-                    self.supply > 0, demand / np.maximum(self.supply, 1e-12), 0.0
-                )
-            return cong
         if self._rudy_buf is None:
             self._rudy_buf = grid.zeros()
             self._pin_buf = grid.zeros()
@@ -162,9 +146,10 @@ class CongestionInflator:
         )
         pins = pin_density_map(arrays, cx, cy, grid, out=self._pin_buf)
         self._calibrate(demand, pins)
-        # In-place assembly, term-for-term identical to the reference
-        # expression: (scalar * pins) added to demand, then the masked
-        # divide by the floored supply.
+        # In-place assembly, term-for-term identical to the original
+        # allocating expression (a golden twin under tests/reference/):
+        # (scalar * pins) added to demand, then the masked divide by the
+        # floored supply.
         np.multiply(pins, self.pin_weight * self._pin_norm, out=self._pin_term)
         demand += self._pin_term
         with np.errstate(divide="ignore", invalid="ignore"):

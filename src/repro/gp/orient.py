@@ -23,60 +23,21 @@ def incident_nets(design: Design, node) -> list:
     return sorted({pin.net for pin in node.pins})
 
 
-def _net_hpwl_with_orientation(design, net, macro_index, orient) -> float:
-    """HPWL of ``net`` if the macro took ``orient`` (about its centre)."""
-    macro = design.nodes[macro_index]
-    xs, ys = [], []
-    for pin in net.pins:
-        node = design.nodes[pin.node]
-        if pin.node == macro_index:
-            dx, dy = transform_offset(pin.dx, pin.dy, orient)
-        else:
-            dx, dy = transform_offset(pin.dx, pin.dy, node.orientation)
-        xs.append(node.cx + dx)
-        ys.append(node.cy + dy)
-    if not xs:
-        return 0.0
-    return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-
-def best_orientation(design: Design, node, candidates=None):
-    """The orientation minimizing incident HPWL and its cost.
-
-    Only 90-degree-compatible candidates are considered by default (all
-    eight orientations; square macros gain from every one, non-square
-    macros from rotations too since placement is still global/overlappy).
-    """
-    if candidates is None:
-        candidates = list(Orientation)
-    nets = incident_nets(design, node)
-    best = node.orientation
-    best_cost = float("inf")
-    for orient in candidates:
-        cost = sum(
-            design.nets[n].weight
-            * _net_hpwl_with_orientation(design, design.nets[n], node.index, orient)
-            for n in nets
-        )
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best = orient
-    return best, best_cost
-
-
-def _best_orientation_fast(design: Design, node, candidates):
-    """Vectorized :func:`best_orientation`; identical decisions.
+def _best_orientation(design: Design, node, candidates):
+    """The candidate orientation minimizing incident HPWL, and its cost.
 
     Pin coordinates of the macro's incident nets are gathered once
     (neighbours do not move between candidates), each candidate only
     refreshes the macro's own pins, and the per-net extrema come from one
     ``reduceat`` pass.  Every per-pin coordinate is produced by the same
-    scalar arithmetic as the loop version, and the cost is accumulated in
-    the same net order, so the candidate comparisons see the same values.
+    scalar arithmetic as the original per-pin loop (a golden twin under
+    ``tests/reference/``), and the cost is accumulated in the same net
+    order, so the candidate comparisons see the same values.  Ties keep
+    the earliest candidate.
     """
     nets = incident_nets(design, node)
     if not nets:
-        # Zero incident cost: the loop version commits the first candidate.
+        # Zero incident cost: the first candidate wins.
         return (candidates[0], 0.0) if candidates else (node.orientation, float("inf"))
     macro_index = node.index
     ucx, ucy = node.cx, node.cy
@@ -128,15 +89,12 @@ def optimize_macro_orientations(
     *,
     allow_rotation: bool = True,
     allow_flip: bool = True,
-    reference: bool = False,
 ) -> int:
     """One orientation pass over every movable macro.
 
     Returns the number of macros whose orientation changed.  Rotations
     swap the outline about the centre; the caller re-pulls positions
-    afterwards (pin caches invalidate automatically).  ``reference=True``
-    evaluates candidates with the original per-pin loop; the default uses
-    the vectorized evaluation, which commits the same orientations.
+    afterwards (pin caches invalidate automatically).
     """
     candidates = []
     for orient in Orientation:
@@ -145,12 +103,11 @@ def optimize_macro_orientations(
         if not allow_flip and orient.is_flipped:
             continue
         candidates.append(orient)
-    evaluate = best_orientation if reference else _best_orientation_fast
     changed = 0
     for node in design.nodes:
         if node.kind is not NodeKind.MACRO:
             continue
-        best, _ = evaluate(design, node, candidates)
+        best, _ = _best_orientation(design, node, candidates)
         if best is not node.orientation:
             design.set_orientation(node, best)
             changed += 1

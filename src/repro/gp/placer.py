@@ -218,7 +218,6 @@ class GlobalPlacer:
             fixed_rects=fixed_rects,
             target_density=cfg.target_density,
             target_scale=target_scale,
-            reference=cfg.reference,
         )
         fence = FencePenalty(design)
         inflator = None
@@ -229,18 +228,11 @@ class GlobalPlacer:
                 predict_model=cfg.predict_model,
                 router_interval=cfg.predict_router_interval,
                 drift_tol=cfg.predict_drift_tol,
-                reference=cfg.reference,
             )
 
         gamma = GAMMA_FACTOR * max(grid.bin_w, grid.bin_h)
-        arrays = design.pin_arrays(reference=cfg.reference)
-        wl_model = make_model(
-            cfg.wirelength_model,
-            arrays,
-            len(design.nodes),
-            gamma,
-            reference=cfg.reference,
-        )
+        arrays = design.pin_arrays()
+        wl_model = make_model(cfg.wirelength_model, arrays, len(design.nodes), gamma)
 
         # Bounds for the projection (centre coordinates).
         half_w = widths[mov] / 2.0
@@ -259,115 +251,9 @@ class GlobalPlacer:
             cx[mov] = v[:m]
             cy[mov] = v[m:]
 
-        if cfg.reference:
-            # The original objective assembly, kept verbatim: fresh copies
-            # in the projection, full-size gradient temporaries, and a
-            # concatenate per evaluation.
-            def project(v: np.ndarray) -> np.ndarray:
-                out = v.copy()
-                out[:m] = np.clip(out[:m], lo_x, hi_x)
-                out[m:] = np.clip(out[m:], lo_y, hi_y)
-                return out
-
-            def objective(v: np.ndarray):
-                unpack(v)
-                wl_v, wl_gx, wl_gy = wl_model.value_grad(cx, cy)
-                d_v, d_gx, d_gy = density.value_grad(cx, cy)
-                f = wl_v + state["lam"] * d_v
-                gx = wl_gx + state["lam"] * d_gx
-                gy = wl_gy + state["lam"] * d_gy
-                if fence.active:
-                    f_v, f_gx, f_gy = fence.value_grad(cx, cy)
-                    f += state["mu"] * f_v
-                    gx += state["mu"] * f_gx
-                    gy += state["mu"] * f_gy
-                return f, np.concatenate([gx[mov], gy[mov]])
-        else:
-            # Optimized assembly: clip in place (the CG owns its trial
-            # buffers), gather movable gradients straight into one reused
-            # output vector.  Arithmetic matches the reference term by
-            # term, so values and gradients are bit-identical.
-            g_buf = np.empty(2 * m)
-            t_mov = np.empty(m)
-
-            def project(v: np.ndarray) -> np.ndarray:
-                np.clip(v[:m], lo_x, hi_x, out=v[:m])
-                np.clip(v[m:], lo_y, hi_y, out=v[m:])
-                return v
-
-            def objective(v: np.ndarray):
-                unpack(v)
-                wl_v, wl_gx, wl_gy = wl_model.value_grad(cx, cy)
-                d_v, d_gx, d_gy = density.value_grad(cx, cy)
-                lam = state["lam"]
-                f = wl_v + lam * d_v
-                gx = g_buf[:m]
-                gy = g_buf[m:]
-                np.take(wl_gx, mov, out=gx)
-                np.take(d_gx, mov, out=t_mov)
-                np.multiply(t_mov, lam, out=t_mov)
-                gx += t_mov
-                np.take(wl_gy, mov, out=gy)
-                np.take(d_gy, mov, out=t_mov)
-                np.multiply(t_mov, lam, out=t_mov)
-                gy += t_mov
-                if fence.active:
-                    f_v, f_gx, f_gy = fence.value_grad(cx, cy)
-                    mu = state["mu"]
-                    f += mu * f_v
-                    np.take(f_gx, mov, out=t_mov)
-                    np.multiply(t_mov, mu, out=t_mov)
-                    gx += t_mov
-                    np.take(f_gy, mov, out=t_mov)
-                    np.multiply(t_mov, mu, out=t_mov)
-                    gy += t_mov
-                return f, g_buf
-
-            # Value/gradient split for the CG line search: rejected trial
-            # points only pay for the value half; the gradient of an
-            # accepted point is finished from the models' stashed tables
-            # with the same op sequence as ``objective``, so the split is
-            # bit-identical to a full evaluation.
-            fence_cache = [None, None]
-
-            def probe(v: np.ndarray) -> float:
-                unpack(v)
-                wl_v = wl_model.value_probe(cx, cy)
-                d_v = density.value_probe(cx, cy)
-                f = wl_v + state["lam"] * d_v
-                if fence.active:
-                    f_v, f_gx, f_gy = fence.value_grad(cx, cy)
-                    f += state["mu"] * f_v
-                    fence_cache[0] = f_gx
-                    fence_cache[1] = f_gy
-                return f
-
-            def finish_grad() -> np.ndarray:
-                wl_gx, wl_gy = wl_model.finish_grad()
-                d_gx, d_gy = density.finish_grad()
-                lam = state["lam"]
-                gx = g_buf[:m]
-                gy = g_buf[m:]
-                np.take(wl_gx, mov, out=gx)
-                np.take(d_gx, mov, out=t_mov)
-                np.multiply(t_mov, lam, out=t_mov)
-                gx += t_mov
-                np.take(wl_gy, mov, out=gy)
-                np.take(d_gy, mov, out=t_mov)
-                np.multiply(t_mov, lam, out=t_mov)
-                gy += t_mov
-                if fence.active:
-                    mu = state["mu"]
-                    np.take(fence_cache[0], mov, out=t_mov)
-                    np.multiply(t_mov, mu, out=t_mov)
-                    gx += t_mov
-                    np.take(fence_cache[1], mov, out=t_mov)
-                    np.multiply(t_mov, mu, out=t_mov)
-                    gy += t_mov
-                return g_buf
-
-            objective.probe = probe
-            objective.finish_grad = finish_grad
+        objective, project = _objective(
+            wl_model, density, fence, state, cx, cy, mov, (lo_x, hi_x, lo_y, hi_y)
+        )
 
         if fault_armed("gp.nan_gradient"):
             # Deterministic NaN poisoning: the hit index counts full
@@ -412,9 +298,7 @@ class GlobalPlacer:
 
         step_init = STEP_INIT_BINS * max(grid.bin_w, grid.bin_h)
         step_max = STEP_MAX_BINS * max(grid.bin_w, grid.bin_h)
-        overflow = self._overflow(
-            design, density, cx, cy, widths, heights, mov, reference=cfg.reference
-        )
+        overflow = self._overflow(design, density, cx, cy, widths, heights, mov)
         v = project(pack())
         unpack(v)
         # Seed the rollback target with the pre-descent state so even a
@@ -452,19 +336,10 @@ class GlobalPlacer:
                         changed = self._orientation_pass(design, cx, cy)
                     report.orientation_changes += changed
                     if changed:
-                        arrays = design.pin_arrays(reference=cfg.reference)
-                        if cfg.reference:
-                            wl_model = make_model(
-                                cfg.wirelength_model,
-                                arrays,
-                                len(design.nodes),
-                                wl_model.gamma,
-                                reference=True,
-                            )
-                        else:
-                            # Orientation changes swap pin offsets but keep
-                            # the topology: reuse the CSR compaction.
-                            wl_model.rebind(arrays)
+                        # Orientation changes swap pin offsets but keep
+                        # the topology: reuse the CSR compaction.
+                        arrays = design.pin_arrays()
+                        wl_model.rebind(arrays)
 
                 with tracer.span("cg"):
                     result = minimize_cg(
@@ -474,14 +349,12 @@ class GlobalPlacer:
                         step_init=step_init,
                         step_max=step_max,
                         project=project,
-                        reference=cfg.reference,
                     )
                 v = result.x
                 unpack(v)
                 with tracer.span("gradient"):
                     overflow = self._overflow(
-                        design, density, cx, cy, widths, heights, mov,
-                        reference=cfg.reference,
+                        design, density, cx, cy, widths, heights, mov
                     )
                     wl_exact = exact_hpwl(arrays, cx, cy)
                 poisoned = result.nonfinite or not all_finite(wl_exact, overflow)
@@ -517,8 +390,7 @@ class GlobalPlacer:
                             unpack(v)
                             wl_model.gamma = guard.last_good.gamma
                             overflow = self._overflow(
-                                design, density, cx, cy, widths, heights,
-                                mov, reference=cfg.reference,
+                                design, density, cx, cy, widths, heights, mov
                             )
                         break
                     v = np.array(snap.v, copy=True)
@@ -527,8 +399,7 @@ class GlobalPlacer:
                     step_max = snap.step_max
                     wl_model.gamma = snap.gamma
                     overflow = self._overflow(
-                        design, density, cx, cy, widths, heights, mov,
-                        reference=cfg.reference,
+                        design, density, cx, cy, widths, heights, mov
                     )
                     continue  # retry from the snapshot, same lam/mu
                 stats = IterationStats(
@@ -599,9 +470,7 @@ class GlobalPlacer:
                 report.inflation = dict(inflator.hybrid_stats)
         design.push_centers(cx, cy, indices=mov)
         if cfg.optimize_orientations and not cfg.freeze_macros:
-            report.orientation_changes += optimize_macro_orientations(
-                design, reference=cfg.reference
-            )
+            report.orientation_changes += optimize_macro_orientations(design)
         report.fence_projected = project_into_fences(design)
         return overflow
 
@@ -615,7 +484,7 @@ class GlobalPlacer:
     def _orientation_pass(self, design: Design, cx, cy) -> int:
         """Run an orientation pass at the current (array) positions."""
         design.push_centers(cx, cy)
-        changed = optimize_macro_orientations(design, reference=self.config.reference)
+        changed = optimize_macro_orientations(design)
         if changed:
             ncx, ncy = design.pull_centers()
             cx[:] = ncx
@@ -671,9 +540,7 @@ class GlobalPlacer:
         return BinGrid.with_bin_target(design.core, per_axis * per_axis)
 
     @staticmethod
-    def _overflow(
-        design, density: BellDensity, cx, cy, widths, heights, mov, reference=False
-    ) -> float:
+    def _overflow(design, density: BellDensity, cx, cy, widths, heights, mov) -> float:
         """Exact-overlap density overflow at the current array positions.
 
         Uses physical (non-inflated) areas against the free capacity of
@@ -684,12 +551,99 @@ class GlobalPlacer:
         xh = cx[mov] + widths[mov] / 2.0
         yl = cy[mov] - heights[mov] / 2.0
         yh = cy[mov] + heights[mov] / 2.0
-        usage = grid.rasterize_rects(xl, yl, xh, yh, reference=reference)
+        usage = grid.rasterize_rects(xl, yl, xh, yh)
         total = float((widths[mov] * heights[mov]).sum())
         if total <= 0:
             return 0.0
         over = np.maximum(usage - density.free, 0.0)
         return float(over.sum() / total)
+
+
+def _objective(wl_model, density, fence, state, cx, cy, mov, bounds):
+    """The CG merit function over the movable centres ``v = [x; y]``.
+
+    Returns ``(objective, project)``.  ``objective(v)`` writes ``v`` into
+    ``cx``/``cy`` and returns ``(f, g)`` with ``f = WL + lam * D``
+    (``+ mu * F`` with an active fence), the weights read from ``state``
+    at call time; ``project`` clips ``v`` in place into ``bounds =
+    (lo_x, hi_x, lo_y, hi_y)`` (the CG owns its trial buffers).  The
+    movable gradients are gathered straight into one reused output
+    vector, term by term as the original allocating assembly (a golden
+    twin under ``tests/reference/``) adds them, so values and gradients
+    are bit-identical.
+
+    ``objective.probe``/``objective.finish_grad`` split one evaluation
+    for the CG line search: rejected trial points only pay for the value
+    half, and the gradient of an accepted point is finished from the
+    models' stashed tables through the same gather, bit-identical to a
+    full evaluation.
+    """
+    m = len(mov)
+    lo_x, hi_x, lo_y, hi_y = bounds
+    g_buf = np.empty(2 * m)
+    t_mov = np.empty(m)
+    fence_grad = [None, None]
+
+    def unpack(v: np.ndarray) -> None:
+        cx[mov] = v[:m]
+        cy[mov] = v[m:]
+
+    def project(v: np.ndarray) -> np.ndarray:
+        np.clip(v[:m], lo_x, hi_x, out=v[:m])
+        np.clip(v[m:], lo_y, hi_y, out=v[m:])
+        return v
+
+    def gather(wl_gx, wl_gy, d_gx, d_gy, f_gx, f_gy) -> np.ndarray:
+        lam = state["lam"]
+        gx = g_buf[:m]
+        gy = g_buf[m:]
+        np.take(wl_gx, mov, out=gx)
+        np.take(d_gx, mov, out=t_mov)
+        np.multiply(t_mov, lam, out=t_mov)
+        gx += t_mov
+        np.take(wl_gy, mov, out=gy)
+        np.take(d_gy, mov, out=t_mov)
+        np.multiply(t_mov, lam, out=t_mov)
+        gy += t_mov
+        if fence.active:
+            mu = state["mu"]
+            np.take(f_gx, mov, out=t_mov)
+            np.multiply(t_mov, mu, out=t_mov)
+            gx += t_mov
+            np.take(f_gy, mov, out=t_mov)
+            np.multiply(t_mov, mu, out=t_mov)
+            gy += t_mov
+        return g_buf
+
+    def objective(v: np.ndarray):
+        unpack(v)
+        wl_v, wl_gx, wl_gy = wl_model.value_grad(cx, cy)
+        d_v, d_gx, d_gy = density.value_grad(cx, cy)
+        f = wl_v + state["lam"] * d_v
+        f_gx = f_gy = None
+        if fence.active:
+            f_v, f_gx, f_gy = fence.value_grad(cx, cy)
+            f += state["mu"] * f_v
+        return f, gather(wl_gx, wl_gy, d_gx, d_gy, f_gx, f_gy)
+
+    def probe(v: np.ndarray) -> float:
+        unpack(v)
+        wl_v = wl_model.value_probe(cx, cy)
+        d_v = density.value_probe(cx, cy)
+        f = wl_v + state["lam"] * d_v
+        if fence.active:
+            f_v, fence_grad[0], fence_grad[1] = fence.value_grad(cx, cy)
+            f += state["mu"] * f_v
+        return f
+
+    def finish_grad() -> np.ndarray:
+        wl_gx, wl_gy = wl_model.finish_grad()
+        d_gx, d_gy = density.finish_grad()
+        return gather(wl_gx, wl_gy, d_gx, d_gy, *fence_grad)
+
+    objective.probe = probe
+    objective.finish_grad = finish_grad
+    return objective, project
 
 
 def place(design: Design, config: GPConfig | None = None) -> GPReport:

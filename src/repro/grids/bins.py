@@ -108,22 +108,20 @@ class BinGrid:
             np.maximum(wx, 0.0), np.maximum(wy, 0.0)
         )
 
-    def rasterize_rects(
-        self, xl, yl, xh, yh, values=None, *, reference: bool = False, out=None
-    ) -> np.ndarray:
+    def rasterize_rects(self, xl, yl, xh, yh, values=None, *, out=None) -> np.ndarray:
         """Exact-overlap rasterization of many rectangles, vectorized.
 
         Rectangle ``i`` contributes ``values[i] * overlap_area`` to each
         bin it touches (``values`` default 1, i.e. pure area — the same
         semantics as :meth:`add_rect`).
 
-        The default path expands each rectangle's exact bin window (ragged,
-        no padding to the largest span), orders the entries the way the
-        original window sweep visited them, and scatters with one
-        ``np.bincount`` — bit-identical output, but the work is the number
-        of touched bins rather than ``num_rects x max_span^2``, so one
-        macro no longer drags every standard cell through its full sweep.
-        ``reference=True`` runs the original sweep verbatim.
+        Each rectangle's exact bin window is expanded (ragged, no padding
+        to the largest span), the entries are ordered the way the original
+        window sweep (a golden twin under ``tests/reference/``) visited
+        them, and one ``np.bincount`` scatters them — bit-identical
+        output, but the work is the number of touched bins rather than
+        ``num_rects x max_span^2``, so one macro no longer drags every
+        standard cell through its full sweep.
 
         ``out`` supplies a caller-owned ``(nx, ny)`` accumulator that is
         zeroed and reused instead of allocating a fresh grid — a zeroed
@@ -165,34 +163,12 @@ class BinGrid:
         iy0 = np.floor((cyl - self.area.yl) / self.bin_h).astype(np.int64)
         ix0 = np.clip(ix0, 0, self.nx - 1)
         iy0 = np.clip(iy0, 0, self.ny - 1)
-        if not reference:
-            return self._rasterize_entries(grid, cxl, cyl, cxh, cyh, dens, ix0, iy0)
-        span_x = int(np.max(np.ceil((cxh - self.area.xl) / self.bin_w) - ix0)) + 1
-        span_y = int(np.max(np.ceil((cyh - self.area.yl) / self.bin_h) - iy0)) + 1
-        span_x = max(1, min(span_x, self.nx + 1))
-        span_y = max(1, min(span_y, self.ny + 1))
-        for kx in range(span_x):
-            ix = ix0 + kx
-            in_x = ix < self.nx
-            bxl = self.area.xl + ix * self.bin_w
-            wx = np.minimum(bxl + self.bin_w, cxh) - np.maximum(bxl, cxl)
-            wx = np.maximum(wx, 0.0)
-            for ky in range(span_y):
-                iy = iy0 + ky
-                in_y = iy < self.ny
-                byl = self.area.yl + iy * self.bin_h
-                wy = np.minimum(byl + self.bin_h, cyh) - np.maximum(byl, cyl)
-                wy = np.maximum(wy, 0.0)
-                mass = dens * wx * wy
-                ok = in_x & in_y & (mass > 0)
-                if ok.any():
-                    np.add.at(grid, (ix[ok], iy[ok]), mass[ok])
-        return grid
+        return self._rasterize_entries(grid, cxl, cyl, cxh, cyh, dens, ix0, iy0)
 
     def _rasterize_entries(self, grid, cxl, cyl, cxh, cyh, dens, ix0, iy0):
         """Ragged per-rect window expansion with sweep-ordered scatter.
 
-        The reference sweep accumulates each bin's contributions in
+        The original sweep accumulates each bin's contributions in
         lexicographic ``(kx, ky, rect)`` order (window offset major, rect
         index minor).  Expanding exact windows enumerates entries in
         ``(rect, kx, ky)`` order instead, so a stable sort on ``(kx, ky)``

@@ -5,13 +5,13 @@ places cells in desired-x order minimizing total weighted squared
 displacement, by merging cells into clusters whose optimal position is
 the weighted mean of member targets (Spindler et al., ISPD'08).
 
-The default path runs the cluster recurrence on flat side-by-side stacks
+The refinement runs the cluster recurrence on flat side-by-side stacks
 (e/q/w/x plus the first-member position of each cluster — membership is
 an index *range* over the cells pre-sorted per sub-row), so a collapse
-pops scalars instead of concatenating Python lists of node objects.
-``reference=True`` keeps the original ``_Cluster``-object implementation
-callable as the golden baseline; the recurrence arithmetic is replicated
-operation by operation, so both produce bit-identical rows.
+pops scalars instead of concatenating Python lists of node objects.  The
+recurrence arithmetic of the original ``_Cluster``-object implementation
+(a golden twin under ``tests/reference/``) is replicated operation by
+operation, so both produce bit-identical rows.
 """
 
 from __future__ import annotations
@@ -19,35 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.legal.subrows import SubRowMap
-
-
-class _Cluster:
-    __slots__ = ("e", "q", "w", "x", "cells")
-
-    def __init__(self):
-        self.e = 0.0  # total weight
-        self.q = 0.0  # sum of weight * (target - offset-in-cluster)
-        self.w = 0.0  # total width
-        self.x = 0.0
-        self.cells = []
-
-    def add_cell(self, node, target_x: float, weight: float) -> None:
-        self.cells.append(node)
-        self.q += weight * (target_x - self.w)
-        self.e += weight
-        self.w += node.placed_width
-
-    def merge_left(self, other: "_Cluster") -> None:
-        """Absorb ``self`` into ``other`` (other is to the left)."""
-        for node in self.cells:
-            other.cells.append(node)
-        other.q += self.q - self.e * other.w
-        other.e += self.e
-        other.w += self.w
-
-    def optimal_x(self, x_min: float, x_max: float) -> float:
-        x = self.q / self.e if self.e > 0 else x_min
-        return min(max(x, x_min), x_max - self.w)
 
 
 def _snap_x(x: float, cell_width: float, x_min: float, x_max: float,
@@ -148,16 +119,12 @@ def abacus_refine(
     design,
     submap: SubRowMap,
     desired_x: dict | None = None,
-    *,
-    reference: bool = False,
 ) -> float:
     """Refine every sub-row; returns total |x displacement| vs desired.
 
     ``desired_x`` maps node index to the pre-legalization lower-left x
     (defaults to current positions, i.e. pure re-packing).
     """
-    if reference:
-        return _refine_reference(design, submap, desired_x)
     total_disp = 0.0
     for sr in submap.subrows:
         if not sr.cells:
@@ -175,53 +142,4 @@ def abacus_refine(
         # the same sequence the pre-refactor inline loop ran.
         for d in disps:
             total_disp += d
-    return total_disp
-
-
-def _refine_reference(design, submap: SubRowMap, desired_x: dict | None) -> float:
-    """The original cluster-object implementation (golden baseline)."""
-    total_disp = 0.0
-    for sr in submap.subrows:
-        if not sr.cells:
-            continue
-        nodes = [design.nodes[i] for i in sr.cells]
-        targets = {
-            n.index: (desired_x.get(n.index, n.x) if desired_x else n.x) for n in nodes
-        }
-        nodes.sort(key=lambda n: targets[n.index])
-        clusters = []
-        for node in nodes:
-            target = min(max(targets[node.index], sr.x_min), sr.x_max - node.placed_width)
-            c = _Cluster()
-            c.add_cell(node, target, weight=1.0)
-            c.x = c.optimal_x(sr.x_min, sr.x_max)
-            clusters.append(c)
-            # Collapse overlaps from the right end.
-            while len(clusters) >= 2 and clusters[-2].x + clusters[-2].w > clusters[-1].x + 1e-12:
-                right = clusters.pop()
-                right.merge_left(clusters[-1])
-                clusters[-1].x = clusters[-1].optimal_x(sr.x_min, sr.x_max)
-        # Write back, site-aligned.
-        order = []
-        for c in clusters:
-            x = c.optimal_x(sr.x_min, sr.x_max)
-            for node in c.cells:
-                order.append((node, x))
-                x += node.placed_width
-        cursor = sr.x_min
-        for node, x in order:
-            x = max(sr.snap_x(x, node.placed_width), cursor)
-            node.x = x
-            node.y = sr.y
-            cursor = x + node.placed_width
-            total_disp += abs(x - targets[node.index])
-        # The site snap can push the tail past the boundary; repack from
-        # the right edge leftward (alignment is preserved because widths
-        # are whole sites).
-        limit = sr.x_max
-        for node, _ in reversed(order):
-            x = min(node.x, limit - node.placed_width)
-            node.x = max(x, sr.x_min)
-            limit = node.x
-        sr.cells = [n.index for n, _ in order]
     return total_disp

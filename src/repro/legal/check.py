@@ -4,12 +4,12 @@ Used by tests and the flow after legalization/detailed placement; checks
 are written against the design rules directly, not against the
 legalizers' internal state, so they catch legalizer bugs.
 
-The default path evaluates core containment, site phase and fence
+The audit evaluates core containment, site phase and fence
 intrusion as vectorized NumPy predicates over flat coordinate arrays and
 only materializes per-node messages for actual violations; the overlap
-sweep runs on plain float tuples instead of :class:`Rect` objects.
-``reference=True`` runs the original per-object loop, kept verbatim.
-Both emit identical reports — every comparison is replicated with the
+sweep runs on plain float tuples instead of :class:`Rect` objects.  The
+reports are identical to the original per-object loop's (a golden twin
+under ``tests/reference/``) — every comparison is replicated with the
 same scalar semantics, in the same order.
 """
 
@@ -46,13 +46,8 @@ def check_legal(
     *,
     tol: float = 1e-6,
     max_violations: int = 200,
-    reference: bool = False,
 ) -> LegalityReport:
     """Audit core containment, row/site alignment, overlaps and fences."""
-    if reference:
-        return _check_legal_reference(
-            design, tol=tol, max_violations=max_violations
-        )
     report = LegalityReport()
     core = design.core
     rows_y = {round(r.y, 6) for r in design.rows}
@@ -160,73 +155,4 @@ def check_legal(
                             return report
         active = still
         active.append((bxl, byl, bxh, byh, name))
-    return report
-
-
-def _check_legal_reference(
-    design: Design, *, tol: float = 1e-6, max_violations: int = 200
-) -> LegalityReport:
-    """The original per-object audit loop (golden baseline)."""
-    report = LegalityReport()
-    core = design.core
-    rows_y = {round(r.y, 6) for r in design.rows}
-    site = design.site_width
-
-    def add(msg: str) -> bool:
-        report.violations.append(msg)
-        return len(report.violations) >= max_violations
-
-    blockers = []
-    for node in design.nodes:
-        if not node.is_movable:
-            continue
-        report.checked_nodes += 1
-        r = node.rect
-        if (
-            r.xl < core.xl - tol
-            or r.xh > core.xh + tol
-            or r.yl < core.yl - tol
-            or r.yh > core.yh + tol
-        ):
-            if add(f"{node.name}: outside core"):
-                return report
-        if node.kind is NodeKind.CELL:
-            if round(node.y, 6) not in rows_y:
-                if add(f"{node.name}: not row-aligned (y={node.y})"):
-                    return report
-            phase = (node.x - core.xl) / site
-            if abs(phase - round(phase)) > 1e-4:
-                if add(f"{node.name}: not site-aligned (x={node.x})"):
-                    return report
-        if node.region is not None:
-            region = design.regions[node.region]
-            if not region.contains_rect(r.inflated(-min(tol, r.width / 2, r.height / 2))):
-                if add(f"{node.name}: outside fence {region.name}"):
-                    return report
-        else:
-            for region in design.regions:
-                if any(
-                    r.overlap_area(fr) > tol * max(1.0, r.area) for fr in region.rects
-                ):
-                    if add(f"{node.name}: intrudes into fence {region.name}"):
-                        return report
-                    break
-        blockers.append((r, node.name))
-    for node in design.nodes:
-        if not node.is_movable and node.kind.blocks_placement:
-            blockers.append((node.rect, node.name))
-
-    # Overlap sweep: sort by xl, compare against active window.
-    blockers.sort(key=lambda t: t[0].xl)
-    active = []
-    for rect, name in blockers:
-        still = []
-        for other, other_name in active:
-            if other.xh > rect.xl + tol:
-                still.append((other, other_name))
-                if rect.intersects(other) and rect.overlap_area(other) > tol:
-                    if add(f"overlap: {name} x {other_name}"):
-                        return report
-        active = still
-        active.append((rect, name))
     return report

@@ -23,11 +23,6 @@ class LegalConfig:
     # attempt fails, trading displacement quality for a placement that is
     # still legal.
     tetris_only: bool = False
-    # Golden mode: run the original per-object Tetris / Abacus / audit
-    # implementations (kept verbatim) instead of the array-based hot
-    # paths.  Results are bit-identical either way — CI and the
-    # equivalence tests assert it.
-    reference: bool = False
 
 
 @dataclass
@@ -67,7 +62,6 @@ class Legalizer:
         self.config = cfg
         self.macro_channel = macro_channel
         self.tetris_only = cfg.tetris_only
-        self.reference = cfg.reference
 
     def legalize(self, design: Design) -> LegalizeResult:
         tracer = get_tracer()
@@ -79,15 +73,10 @@ class Legalizer:
             macros_moved = legalize_macros(design, channel=self.macro_channel)
         with tracer.span("tetris"):
             submap = SubRowMap(design)
-            tetris_legalize(design, submap, reference=self.reference)
+            tetris_legalize(design, submap)
         if not self.tetris_only:
             with tracer.span("abacus"):
-                abacus_refine(
-                    design,
-                    submap,
-                    {i: xy[0] for i, xy in desired.items()},
-                    reference=self.reference,
-                )
+                abacus_refine(design, submap, {i: xy[0] for i, xy in desired.items()})
         total = 0.0
         worst = 0.0
         for node in design.nodes:
@@ -98,7 +87,7 @@ class Legalizer:
             total += d
             worst = max(worst, d)
         with tracer.span("audit"):
-            report = check_legal(design, reference=self.reference)
+            report = check_legal(design)
         tracer.metrics.gauge("legal.total_displacement").set(total)
         tracer.metrics.gauge("legal.max_displacement").set(worst)
         return LegalizeResult(

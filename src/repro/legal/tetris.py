@@ -5,14 +5,14 @@ cheapest feasible position at the current *tail* of a nearby sub-row in
 its fence domain.  O(n log n + n * rows-probed), displacement-aware, and
 the classical warm start for Abacus refinement.
 
-The default assignment path ranks candidate sub-rows with a vectorized
+The assignment ranks candidate sub-rows with a vectorized
 stable ``argsort`` over per-domain y arrays and keeps tails/stranding
 budgets in flat arrays indexed by sub-row sequence number, instead of
 re-sorting a Python list of sub-row objects per cell and keying dicts by
-``id(sr)``.  ``reference=True`` runs the original per-object loop, kept
-verbatim; both produce bit-identical assignments (a stable argsort over
-``|sr.y - node.y|`` reproduces Python's stable ``sorted`` exactly, and
-every scalar placement expression is unchanged).
+``id(sr)``.  It produces the same assignments as the original per-object
+loop (a golden twin under ``tests/reference/``), bit for bit: a stable
+argsort over ``|sr.y - node.y|`` reproduces Python's stable ``sorted``
+exactly, and every scalar placement expression is unchanged.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ def tetris_legalize(
     submap: SubRowMap | None = None,
     *,
     row_probe: int = 24,
-    reference: bool = False,
 ) -> SubRowMap:
     """Assign every standard cell to a sub-row position.
 
@@ -41,21 +40,20 @@ def tetris_legalize(
     """
     if submap is None:
         submap = SubRowMap(design)
-    assign = _assign_reference if reference else _assign
     snapshot = {
         n.index: (n.x, n.y)
         for n in design.nodes
         if n.is_movable and n.kind in (NodeKind.CELL, NodeKind.FILLER)
     }
     try:
-        return assign(design, submap, row_probe, pack_only=False)
+        return _assign(design, submap, row_probe, pack_only=False)
     except RuntimeError:
         for idx, (x, y) in snapshot.items():
             design.nodes[idx].x = x
             design.nodes[idx].y = y
         for sr in submap.subrows:
             sr.cells.clear()
-        return assign(design, submap, row_probe, pack_only=True)
+        return _assign(design, submap, row_probe, pack_only=True)
 
 
 def _sorted_cells(design: Design):
@@ -132,7 +130,7 @@ def _assign(design: Design, submap: SubRowMap, row_probe: int, pack_only: bool) 
         if len(ranked) > row_probe:
             ranked = ranked[:row_probe]
         # All probed rows priced at once.  Every expression mirrors the
-        # scalar reference loop term for term: one-argument ``round`` is
+        # original scalar loop term for term: one-argument ``round`` is
         # round-half-even, i.e. ``np.rint``; ``int(budget / site)``
         # truncates toward zero and budgets never go negative, so
         # ``np.trunc`` matches; min/max map to np.minimum/np.maximum on
@@ -183,61 +181,5 @@ def _assign(design: Design, submap: SubRowMap, row_probe: int, pack_only: bool) 
         node.y = sr.y
         budgets[sid] -= max(0.0, x - float(tails[sid]))
         tails[sid] = x + w
-        sr.cells.append(node.index)
-    return submap
-
-
-def _assign_reference(
-    design: Design, submap: SubRowMap, row_probe: int, pack_only: bool
-) -> SubRowMap:
-    """The original per-object assignment loop (golden baseline)."""
-    tails = {id(sr): sr.x_min for sr in submap.subrows}
-    cells = _sorted_cells(design)
-    budgets = _stranding_budgets(submap, cells)
-    for node in cells:
-        domain = submap.for_region(node.region)
-        if not domain:
-            raise RuntimeError(
-                f"no sub-rows available for cell {node.name} "
-                f"(region {node.region})"
-            )
-        # Probe sub-rows nearest in y first.
-        ranked = sorted(domain, key=lambda sr: abs(sr.y - node.y))[:row_probe]
-        best = None
-        best_cost = float("inf")
-        w = node.placed_width
-        for sr in ranked:
-            tail = tails[id(sr)]
-            if pack_only:
-                x = tail
-            else:
-                site = sr.site_width
-                allowed = site * int(budgets[id(sr)] / site)
-                x = min(max(tail, sr.snap_x(node.x, w)), tail + allowed)
-            if x + w > sr.x_max + 1e-9:
-                continue
-            cost = abs(x - node.x) + abs(sr.y - node.y)
-            if cost < best_cost:
-                best_cost = cost
-                best = (sr, x)
-        if best is None:
-            # Widen: any sub-row in the domain with room at its tail.
-            for sr in domain:
-                tail = tails[id(sr)]
-                if tail + w > sr.x_max + 1e-9:
-                    continue
-                cost = abs(tail - node.x) + abs(sr.y - node.y)
-                if cost < best_cost:
-                    best_cost = cost
-                    best = (sr, tail)
-        if best is None:
-            raise RuntimeError(
-                f"legalization capacity exhausted placing {node.name}"
-            )
-        sr, x = best
-        node.x = x
-        node.y = sr.y
-        budgets[id(sr)] -= max(0.0, x - tails[id(sr)])
-        tails[id(sr)] = x + w
         sr.cells.append(node.index)
     return submap

@@ -16,8 +16,8 @@ buffers updated in place (only commutative/associative-neutral rewrites,
 so the trajectory is bit-identical to the original).  Gradients returned
 by ``value_grad`` are copied into solver-owned storage, which also makes
 the solver safe for objectives that reuse one output buffer across calls.
-``minimize_cg(..., reference=True)`` runs the original allocating
-implementation, kept verbatim as the golden baseline.
+The original allocating implementation is kept as a golden twin under
+``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ def minimize_cg(
     max_backtracks: int = 12,
     project=None,
     record: bool = False,
-    reference: bool = False,
 ) -> CGResult:
     """Minimize ``value_grad: x -> (f, g)`` starting from ``x0``.
 
@@ -63,23 +62,8 @@ def minimize_cg(
     ``project`` maps a candidate iterate back into the feasible set (it
     may update its argument in place and return it).  Converges when the
     relative objective decrease over an iteration falls below
-    ``rel_tol``.  ``reference=True`` selects the original allocating
-    implementation (bit-identical results, kept for golden comparisons).
+    ``rel_tol``.
     """
-    if reference:
-        return _minimize_cg_reference(
-            value_grad,
-            x0,
-            max_iter=max_iter,
-            step_init=step_init,
-            step_max=step_max,
-            rel_tol=rel_tol,
-            armijo_c=armijo_c,
-            backtrack=backtrack,
-            max_backtracks=max_backtracks,
-            project=project,
-            record=record,
-        )
     # Optional value/gradient split: an objective exposing ``probe`` (value
     # of a trial point) and ``finish_grad`` (gradient of the last probed
     # point) lets rejected line-search probes skip gradient work entirely.
@@ -184,97 +168,3 @@ def minimize_cg(
         nonfinite=not (math.isfinite(f) and math.isfinite(grad_norm)),
     )
 
-
-def _minimize_cg_reference(
-    value_grad,
-    x0: np.ndarray,
-    *,
-    max_iter: int = 100,
-    step_init: float = 1.0,
-    step_max: float | None = None,
-    rel_tol: float = 1e-4,
-    armijo_c: float = 1e-4,
-    backtrack: float = 0.5,
-    max_backtracks: int = 12,
-    project=None,
-    record: bool = False,
-) -> CGResult:
-    """The original allocating implementation, kept verbatim."""
-    x = np.array(x0, dtype=float)
-    if project is not None:
-        x = project(x)
-    f, g = value_grad(x)
-    d = -g
-    alpha = float(step_init)
-    trajectory = [f] if record else []
-    converged = False
-    iterations = 0
-    last_step = 0.0
-    for it in range(max_iter):
-        iterations = it + 1
-        dinf = float(np.max(np.abs(d))) if d.size else 0.0
-        if dinf <= 0.0:
-            converged = True
-            break
-        d_hat = d / dinf
-        slope = float(np.dot(g, d_hat))
-        if slope >= 0.0:  # not a descent direction: restart on -g
-            d = -g
-            dinf = float(np.max(np.abs(d)))
-            if dinf <= 0.0:
-                converged = True
-                break
-            d_hat = d / dinf
-            slope = float(np.dot(g, d_hat))
-            if slope >= 0.0:
-                converged = True
-                break
-        # Backtracking Armijo search in absolute distance units.
-        step = alpha
-        if step_max is not None:
-            step = min(step, step_max)
-        accepted = False
-        f_new = f
-        x_new = x
-        for _ in range(max_backtracks):
-            x_try = x + step * d_hat
-            if project is not None:
-                x_try = project(x_try)
-            f_try, g_try = value_grad(x_try)
-            if f_try <= f + armijo_c * step * slope or f_try < f:
-                accepted = True
-                x_new, f_new, g_new = x_try, f_try, g_try
-                break
-            step *= backtrack
-        if not accepted:
-            converged = True
-            break
-        last_step = step
-        # Adapt the trial step: grow after easy acceptance, keep otherwise.
-        alpha = step * (2.0 if step >= alpha * 0.99 else 1.0)
-        if step_max is not None:
-            alpha = min(alpha, step_max)
-        # Polak-Ribiere+ update.
-        gg = float(np.dot(g, g))
-        beta = 0.0
-        if gg > 0:
-            beta = max(0.0, float(np.dot(g_new, g_new - g)) / gg)
-        d = -g_new + beta * d
-        rel_drop = abs(f - f_new) / max(abs(f), 1e-12)
-        x, f, g = x_new, f_new, g_new
-        if record:
-            trajectory.append(f)
-        if rel_drop < rel_tol:
-            converged = True
-            break
-    grad_norm = float(np.linalg.norm(g)) if g.size else 0.0
-    return CGResult(
-        x=x,
-        value=f,
-        grad_norm=grad_norm,
-        iterations=iterations,
-        converged=converged,
-        trajectory=trajectory,
-        final_step=last_step,
-        nonfinite=not (math.isfinite(f) and math.isfinite(grad_norm)),
-    )

@@ -5,15 +5,12 @@ overflow: finds the cheapest monotone-or-not path between two tiles under
 the current congestion costs, restricted to a search window around the
 connection's bounding box.
 
-Two implementations share the algorithm (same frontier ordering, same
-expansion order, so they produce identical paths):
-
-* :func:`maze_route` — the hot path.  Search state lives in flat arrays
-  indexed by an integer-encoded ``(i, j, dir)`` state, and the window's
-  edge costs are pulled out once; only the heapq frontier allocates.
-* :func:`maze_route_reference` — the original dict-of-tuples version,
-  kept as the golden reference for the equivalence tests and the perf
-  harness baseline.
+Search state lives in flat arrays indexed by an integer-encoded
+``(i, j, dir)`` state, and the window's edge costs are pulled out once;
+only the heapq frontier allocates.  The original dict-of-tuples version
+(a golden twin under ``tests/reference/``) shares the algorithm — same
+frontier ordering, same expansion order — so both produce identical
+paths.
 """
 
 from __future__ import annotations
@@ -140,68 +137,6 @@ def maze_route(
         li, lj = divmod(tile, h)
         path.append((li + i_lo, lj + j_lo))
         state = came[state]
-    path.reverse()
-    return best[found], _path_to_runs(path)
-
-
-def maze_route_reference(
-    cost_e: np.ndarray,
-    cost_n: np.ndarray,
-    start: tuple,
-    goal: tuple,
-    window=None,
-    bend_cost: float = 0.05,
-):
-    """Dict-of-tuples A*: the original implementation, kept as reference."""
-    nx = cost_n.shape[0]
-    ny = cost_e.shape[1]
-    if window is None:
-        window = (0, 0, nx - 1, ny - 1)
-    i_lo, j_lo, i_hi, j_hi = window
-    si, sj = start
-    gi, gj = goal
-    min_edge = 1.0  # admissible heuristic scale: costs are >= ~1
-
-    # State: (f, g, i, j, incoming direction), directions 0=E,1=W,2=N,3=S.
-    start_state = (si, sj, -1)
-    best = {start_state: 0.0}
-    came = {}
-    h0 = (abs(gi - si) + abs(gj - sj)) * min_edge
-    heap = [(h0, 0.0, si, sj, -1)]
-    found = None
-    while heap:
-        f, g, i, j, d = heapq.heappop(heap)
-        if (i, j) == (gi, gj):
-            found = (i, j, d)
-            break
-        if g > best.get((i, j, d), np.inf):
-            continue
-        moves = []
-        if i < i_hi:
-            moves.append((i + 1, j, 0, cost_e[i, j]))
-        if i > i_lo:
-            moves.append((i - 1, j, 1, cost_e[i - 1, j]))
-        if j < j_hi:
-            moves.append((i, j + 1, 2, cost_n[i, j]))
-        if j > j_lo:
-            moves.append((i, j - 1, 3, cost_n[i, j - 1]))
-        for ni, nj, nd, ec in moves:
-            ng = g + float(ec) + (bend_cost if d != -1 and d != nd else 0.0)
-            key = (ni, nj, nd)
-            if ng < best.get(key, np.inf):
-                best[key] = ng
-                came[key] = (i, j, d)
-                h = (abs(gi - ni) + abs(gj - nj)) * min_edge
-                heapq.heappush(heap, (ng + h, ng, ni, nj, nd))
-    if found is None:
-        return np.inf, None
-    # Reconstruct the tile path.
-    path = []
-    state = found
-    while state != start_state:
-        path.append((state[0], state[1]))
-        state = came[state]
-    path.append((si, sj))
     path.reverse()
     return best[found], _path_to_runs(path)
 

@@ -19,10 +19,12 @@ offender detection flattens every route's runs into edge-interval arrays
 and intersects them with prefix-summed overflow masks (the CSR
 incidence trick), so a rip-up round costs O(runs) numpy instead of a
 Python scan with per-run ``any()``; usage updates are incremental
-(rip/commit touch only the changed segment's edges, full rebuilds use
-the diff-array/cumsum commit).  ``reference=True`` selects the original
-per-net/dict/scan implementations — the golden baseline for the
-equivalence tests and ``benchmarks/bench_perf.py``.
+(rip/commit touch only the changed segment's edges, L-sweep rebuilds
+use the diff-array/cumsum commit), and rip-up refreshes only the cost
+lines a rip or commit dirtied.  The original per-net/dict/scan
+implementations are golden twins under ``tests/reference/``, held
+against these paths by the equivalence tests and
+``benchmarks/bench_perf.py``.
 """
 
 from __future__ import annotations
@@ -33,17 +35,11 @@ import numpy as np
 
 from repro.obs import get_tracer
 from repro.route.graph import GridGraph
-from repro.route.maze import maze_route, maze_route_reference
+from repro.route.maze import maze_route
 from repro.route.metrics import CongestionMetrics, congestion_metrics
-from repro.route.pattern import (
-    best_z_route,
-    l_route_costs,
-    l_route_runs,
-    prefix_costs,
-    runs_cost,
-)
+from repro.route.pattern import best_z_route, l_route_costs, prefix_costs, runs_cost
 from repro.route.spec import RoutingSpec
-from repro.route.steiner import decompose_all, decompose_net
+from repro.route.steiner import decompose_all
 
 
 class RouteTimeout(RuntimeError):
@@ -85,14 +81,7 @@ class RouteResult:
 
 
 class GlobalRouter:
-    """Routes a placed design over a :class:`RoutingSpec`.
-
-    ``reference=True`` swaps every optimized hot path for the original
-    straight-line implementation (per-net decomposition, dict-based maze
-    A*, Python offender scan, from-scratch usage rebuild).  Results are
-    identical either way; the flag exists so tests and the perf harness
-    can hold the optimized paths against a golden baseline.
-    """
+    """Routes a placed design over a :class:`RoutingSpec`."""
 
     def __init__(
         self,
@@ -103,8 +92,6 @@ class GlobalRouter:
         maze_rounds: int = 3,
         max_maze_nets: int = 1500,
         maze_window_margin: int = 6,
-        cost_refresh: int = 1,
-        reference: bool = False,
     ):
         self.spec = spec
         self.sweeps = max(1, sweeps)
@@ -112,8 +99,6 @@ class GlobalRouter:
         self.maze_rounds = maze_rounds
         self.max_maze_nets = max_maze_nets
         self.maze_window_margin = maze_window_margin
-        self.cost_refresh = cost_refresh
-        self.reference = reference
 
     # ------------------------------------------------------------------
     def segments_for(self, arrays, cx: np.ndarray, cy: np.ndarray):
@@ -121,8 +106,11 @@ class GlobalRouter:
         grid = self.spec.grid
         px, py = arrays.pin_positions(cx, cy)
         tix, tiy = grid.index_of(px, py)
-        if self.reference:
-            return self._segments_for_reference(arrays, tix, tiy)
+        return self._segments(arrays, tix, tiy)
+
+    @staticmethod
+    def _segments(arrays, tix, tiy):
+        """Two-pin connections of every net, from pin tile indices."""
         i0, j0, i1, j1, stats = decompose_all(tix, tiy, arrays.net_ptr)
         metrics = get_tracer().metrics
         metrics.counter("route.decompose.deg2_batched").inc(stats["deg2"])
@@ -130,27 +118,6 @@ class GlobalRouter:
         metrics.counter("route.decompose.mst_cache_hits").inc(stats["mst_hits"])
         metrics.counter("route.decompose.mst_cache_misses").inc(stats["mst_misses"])
         return i0, j0, i1, j1
-
-    @staticmethod
-    def _segments_for_reference(arrays, tix, tiy):
-        """Per-net reference loop over :func:`decompose_net`."""
-        seg = []
-        ptr = arrays.net_ptr
-        for n in range(arrays.num_nets):
-            a, b = ptr[n], ptr[n + 1]
-            if b - a < 2:
-                continue
-            for i0, j0, i1, j1 in decompose_net(tix[a:b], tiy[a:b]):
-                seg.append((i0, j0, i1, j1))
-        if not seg:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-            )
-        arr = np.asarray(seg, dtype=np.int64)
-        return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
 
     # ------------------------------------------------------------------
     def route(
@@ -186,17 +153,7 @@ class GlobalRouter:
 
         with tracer.span("l_sweeps", sweeps=self.sweeps):
             hv = self._l_sweeps(graph, i0, j0, i1, j1)
-            if self.reference:
-                routes = [
-                    l_route_runs(int(a), int(b), int(c), int(d), bool(h))
-                    for a, b, c, d, h in zip(i0, j0, i1, j1, hv)
-                ]
-                # The last sweep's _commit_l_choices already left exactly
-                # this usage; the reference path re-derives it from the
-                # run lists to anchor the equivalence tests.
-                self._commit_all_reference(graph, routes)
-            else:
-                routes = self._build_l_routes(i0, j0, i1, j1, hv)
+            routes = self._build_l_routes(graph, i0, j0, i1, j1, hv)
         overflow = note_round(graph.total_overflow())
         maze_count = 0
         if self.z_refine and overflow > 0:
@@ -238,13 +195,16 @@ class GlobalRouter:
         return hv
 
     @staticmethod
-    def _build_l_routes(i0, j0, i1, j1, hv) -> list:
+    def _build_l_routes(graph: GridGraph, i0, j0, i1, j1, hv) -> list:
         """Run lists of the chosen L shapes, built batch-wise.
 
-        Same output as mapping :func:`l_route_runs` over the segments
-        (degenerate runs dropped, H before V for HV shapes and V before H
-        for VH), but the per-run tuples come out of three vectorized
-        passes instead of one Python call per segment.
+        Same output as mapping :func:`~repro.route.pattern.l_route_runs`
+        over the segments (degenerate runs dropped, H before V for HV
+        shapes and V before H for VH), but the per-run tuples come out of
+        three vectorized passes instead of one Python call per segment.
+        ``graph`` already holds these routes' usage (the last sweep
+        committed it) and is left untouched; the per-segment golden twin
+        under ``tests/reference/`` rebuilds it from the run lists.
         """
         routes: list = [[] for _ in range(len(i0))]
         lo_i = np.minimum(i0, i1)
@@ -310,36 +270,6 @@ class GlobalRouter:
         arr = np.asarray(flat, dtype=np.int64)
         return arr[:, 0], arr[:, 1].astype(bool), arr[:, 2], arr[:, 3], arr[:, 4]
 
-    @classmethod
-    def _commit_all(cls, graph: GridGraph, routes) -> None:
-        """Rebuild usage from explicit run lists (diff-array/cumsum)."""
-        graph.reset_usage()
-        flat = cls._flatten_runs(routes)
-        if flat is None:
-            return
-        _, is_h, line, lo, hi = flat
-        nx, ny = graph.nx, graph.ny
-        de = np.zeros((nx, ny))
-        np.add.at(de, (lo[is_h], line[is_h]), 1.0)
-        np.add.at(de, (hi[is_h], line[is_h]), -1.0)
-        dn = np.zeros((nx, ny))
-        is_v = ~is_h
-        np.add.at(dn, (line[is_v], lo[is_v]), 1.0)
-        np.add.at(dn, (line[is_v], hi[is_v]), -1.0)
-        graph.use_e = np.cumsum(de, axis=0)[: nx - 1, :]
-        graph.use_n = np.cumsum(dn, axis=1)[:, : ny - 1]
-
-    @staticmethod
-    def _commit_all_reference(graph: GridGraph, routes) -> None:
-        """Rebuild usage with the original per-run Python loop."""
-        graph.reset_usage()
-        for runs in routes:
-            for kind, line, a, b in runs:
-                if kind == "H":
-                    graph.add_horizontal_run(line, a, b)
-                else:
-                    graph.add_vertical_run(line, a, b)
-
     @staticmethod
     def _rip(graph: GridGraph, runs) -> None:
         for kind, line, a, b in runs:
@@ -350,8 +280,6 @@ class GlobalRouter:
 
     def _offending_segments(self, graph: GridGraph, routes) -> list:
         """Indices of segments whose route crosses an overflowed edge."""
-        if self.reference:
-            return self._offending_segments_reference(graph, routes)
         over_e = graph.use_e > graph.cap_e
         over_n = graph.use_n > graph.cap_n
         any_over = bool(over_e.any() or over_n.any())
@@ -378,27 +306,6 @@ class GlobalRouter:
         metrics.counter("route.offenders.skipped").inc(len(routes) - len(offenders))
         return offenders
 
-    @staticmethod
-    def _offending_segments_reference(graph: GridGraph, routes) -> list:
-        """The original full Python scan over every route."""
-        over_e = graph.use_e > graph.cap_e
-        over_n = graph.use_n > graph.cap_n
-        out = []
-        for idx, runs in enumerate(routes):
-            hit = False
-            for kind, line, a, b in runs:
-                if kind == "H":
-                    if over_e[a:b, line].any():
-                        hit = True
-                        break
-                else:
-                    if over_n[line, a:b].any():
-                        hit = True
-                        break
-            if hit:
-                out.append(idx)
-        return out
-
     def _reroute_offenders(
         self, graph: GridGraph, routes, i0, j0, i1, j1, *, use_maze: bool
     ) -> int:
@@ -408,49 +315,32 @@ class GlobalRouter:
             return 0
         # Worst (longest) first would hog resources; shortest first frees
         # hotspots fastest — the usual negotiation ordering.
-        if isinstance(offenders, np.ndarray):
-            length = np.abs(i1[offenders] - i0[offenders]) + np.abs(
-                j1[offenders] - j0[offenders]
-            )
-            offenders = offenders[np.argsort(length, kind="stable")]
-            offenders = offenders[: self.max_maze_nets].tolist()
-        else:
-            offenders.sort(
-                key=lambda s: abs(int(i1[s]) - int(i0[s]))
-                + abs(int(j1[s]) - int(j0[s]))
-            )
-            offenders = offenders[: self.max_maze_nets]
-        maze = maze_route_reference if self.reference else maze_route
-        # With per-reroute refresh (the default) the costs are maintained
-        # incrementally: only the lines touched by a rip/commit are
-        # recomputed and re-prefixed, which is bitwise identical to the
-        # reference's full rebuild after every rip.
-        incremental = self.cost_refresh == 1 and not self.reference
-        if incremental:
-            cost_e, cost_n = graph.cost_arrays()
-            pe, pn = prefix_costs(cost_e, cost_n)
-            dirty_h: set = set()
-            dirty_v: set = set()
-        else:
-            cost_e = cost_n = pe = pn = None
+        length = np.abs(i1[offenders] - i0[offenders]) + np.abs(
+            j1[offenders] - j0[offenders]
+        )
+        offenders = offenders[np.argsort(length, kind="stable")]
+        offenders = offenders[: self.max_maze_nets].tolist()
+        # Costs are maintained incrementally: only the lines touched by a
+        # rip/commit are recomputed and re-prefixed, which is bitwise
+        # identical to a full rebuild after every rip.
+        cost_e, cost_n = graph.cost_arrays()
+        pe, pn = prefix_costs(cost_e, cost_n)
+        dirty_h: set = set()
+        dirty_v: set = set()
         rerouted = 0
-        for count, s in enumerate(offenders):
+        for s in offenders:
             self._rip(graph, routes[s])
             # Fresh costs per reroute (post-rip): identical offenders must
             # see each other's commitments or they all pile into the same
-            # detour and the negotiation never converges.
-            if incremental:
-                # Lines dirtied by the previous commit and by this rip
-                # refresh together; consecutive offenders crowd the same
-                # hotspots, so the dedup roughly halves the refresh work.
-                for kind, line, _a, _b in routes[s]:
-                    (dirty_h if kind == "H" else dirty_v).add(line)
-                graph.refresh_cost_lines(cost_e, cost_n, pe, pn, dirty_h, dirty_v)
-                dirty_h.clear()
-                dirty_v.clear()
-            elif count % self.cost_refresh == 0 or cost_e is None:
-                cost_e, cost_n = graph.cost_arrays()
-                pe, pn = prefix_costs(cost_e, cost_n)
+            # detour and the negotiation never converges.  Lines dirtied
+            # by the previous commit and by this rip refresh together;
+            # consecutive offenders crowd the same hotspots, so the dedup
+            # roughly halves the refresh work.
+            for kind, line, _a, _b in routes[s]:
+                (dirty_h if kind == "H" else dirty_v).add(line)
+            graph.refresh_cost_lines(cost_e, cost_n, pe, pn, dirty_h, dirty_v)
+            dirty_h.clear()
+            dirty_v.clear()
             a, b, c, d = int(i0[s]), int(j0[s]), int(i1[s]), int(j1[s])
             z_cost, z_runs = best_z_route(pe, pn, a, b, c, d)
             new_runs = z_runs
@@ -462,7 +352,7 @@ class GlobalRouter:
                     min(graph.nx - 1, max(a, c) + margin),
                     min(graph.ny - 1, max(b, d) + margin),
                 )
-                m_cost, m_runs = maze(cost_e, cost_n, (a, b), (c, d), window)
+                m_cost, m_runs = maze_route(cost_e, cost_n, (a, b), (c, d), window)
                 if m_runs is not None and m_cost < z_cost:
                     new_runs = m_runs
             # Keep the better of old and new under current costs.
@@ -474,9 +364,8 @@ class GlobalRouter:
                     graph.add_horizontal_run(line, lo, hi)
                 else:
                     graph.add_vertical_run(line, lo, hi)
-            if incremental:
-                for kind, line, _a, _b in new_runs:
-                    (dirty_h if kind == "H" else dirty_v).add(line)
+            for kind, line, _a, _b in new_runs:
+                (dirty_h if kind == "H" else dirty_v).add(line)
             rerouted += 1
         return rerouted
 

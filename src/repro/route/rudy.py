@@ -21,7 +21,6 @@ def rudy_map(
     cy: np.ndarray,
     grid: BinGrid,
     wire_width: float = 1.0,
-    reference: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Wire-demand density per bin.
@@ -49,9 +48,7 @@ def rudy_map(
     box_area = np.maximum((xh - xl) * (yh - yl), 1e-12)
     # values are per-unit-area densities; integrating a box recovers its
     # HPWL * wire_width demand.
-    grid_map = grid.rasterize_rects(
-        xl, yl, xh, yh, values=demand / box_area, reference=reference, out=out
-    )
+    grid_map = grid.rasterize_rects(xl, yl, xh, yh, values=demand / box_area, out=out)
     grid_map /= grid.bin_area
     return grid_map
 

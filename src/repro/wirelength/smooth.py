@@ -25,9 +25,9 @@ on the arrays object, and shared by every model over that topology.
 ``rebind`` swaps in a re-oriented pin table without rebuilding it.  Value
 and gradient evaluations reuse preallocated per-pin work buffers and
 scatter gradients with ``np.bincount`` (bit-identical to ``np.add.at``,
-several times faster).  Constructing a model with ``reference=True``
-restores the original per-net construction loop and allocating evaluation
-path verbatim; ``tests/test_gp_perf_equiv.py`` asserts the two modes agree
+several times faster).  The original per-net construction loop and
+allocating evaluation path are kept as golden twins under
+``tests/reference/``; ``tests/test_gp_perf_equiv.py`` asserts both agree
 to the last bit.
 """
 
@@ -48,28 +48,6 @@ class _Compaction:
         self.pin_sel = pin_sel
         self.pin_net = pin_net
         self.cstarts = cstarts
-
-
-def _compact_pins_reference(net_ptr, net_weight) -> _Compaction:
-    """The original per-net construction loop, kept as the golden path."""
-    counts = np.diff(net_ptr)
-    active = counts >= 2  # single-pin nets contribute nothing
-    starts = net_ptr[:-1][active]
-    weights = net_weight[active]
-    active_counts = counts[active]
-    pin_sel = np.concatenate(
-        [
-            np.arange(s, s + c)
-            for s, c in zip(starts, active_counts)
-        ]
-    ).astype(np.int64) if len(starts) else np.empty(0, dtype=np.int64)
-    pin_net = np.repeat(
-        np.arange(len(starts), dtype=np.int64), active_counts
-    )
-    cstarts = np.concatenate([[0], np.cumsum(active_counts)[:-1]]).astype(
-        np.int64
-    ) if len(starts) else np.empty(0, dtype=np.int64)
-    return _Compaction(active, starts, weights, pin_sel, pin_net, cstarts)
 
 
 def _compact_pins(net_ptr, net_weight) -> _Compaction:
@@ -94,15 +72,13 @@ def _compact_pins(net_ptr, net_weight) -> _Compaction:
     return _Compaction(active, starts, weights, pin_sel, pin_net, cstarts)
 
 
-def compaction_for(arrays, *, reference: bool = False) -> _Compaction:
+def compaction_for(arrays) -> _Compaction:
     """The (cached) compaction of one pin table.
 
-    The optimized build is memoized on the ``PinArrays`` object itself:
-    pin tables are immutable once built and replaced wholesale when the
-    topology or an orientation changes, so object identity is a safe key.
+    The build is memoized on the ``PinArrays`` object itself: pin tables
+    are immutable once built and replaced wholesale when the topology or
+    an orientation changes, so object identity is a safe key.
     """
-    if reference:
-        return _compact_pins_reference(arrays.net_ptr, arrays.net_weight)
     comp = getattr(arrays, "_smooth_compaction", None)
     if comp is None:
         comp = _compact_pins(arrays.net_ptr, arrays.net_weight)
@@ -116,13 +92,12 @@ def compaction_for(arrays, *, reference: bool = False) -> _Compaction:
 class SmoothWirelength:
     """Base class: holds the CSR pin table and per-pin net expansion."""
 
-    def __init__(self, arrays, num_nodes: int, gamma: float, *, reference: bool = False):
+    def __init__(self, arrays, num_nodes: int, gamma: float):
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         self.num_nodes = int(num_nodes)
         self.gamma = float(gamma)
-        self.reference = bool(reference)
-        self._bind(arrays, compaction_for(arrays, reference=reference))
+        self._bind(arrays, compaction_for(arrays))
 
     def _bind(self, arrays, comp: _Compaction) -> None:
         self.arrays = arrays
@@ -152,7 +127,7 @@ class SmoothWirelength:
         same = arrays.net_ptr is self.arrays.net_ptr or np.array_equal(
             arrays.net_ptr, self.arrays.net_ptr
         )
-        comp = self._comp if same else compaction_for(arrays, reference=self.reference)
+        comp = self._comp if same else compaction_for(arrays)
         self._bind(arrays, comp)
         return self
 
@@ -164,10 +139,6 @@ class SmoothWirelength:
         return buf
 
     # -- per-axis machinery -------------------------------------------
-    def _axis_value_grad(self, p: np.ndarray):
-        """Return (per-net value, per-pin gradient) for one axis."""
-        raise NotImplementedError
-
     def _axis_value_fast(self, p: np.ndarray, axis: str):
         """Buffered per-axis value; returns ``(value, state)``.
 
@@ -182,7 +153,7 @@ class SmoothWirelength:
         raise NotImplementedError
 
     def _axis_value_grad_fast(self, p: np.ndarray, axis: str):
-        """Buffered variant; must match ``_axis_value_grad`` bit-for-bit."""
+        """Per-axis ``(per-net value, per-pin gradient)``, in buffers."""
         value, state = self._axis_value_fast(p, axis)
         return value, self._axis_grad_fast(state, axis)
 
@@ -192,8 +163,6 @@ class SmoothWirelength:
         Returns ``(value, grad_x, grad_y)`` with gradients over all
         ``num_nodes`` nodes (fixed nodes included; the caller masks).
         """
-        if self.reference:
-            return self._value_grad_reference(cx, cy)
         if len(self._starts) == 0:
             return 0.0, np.zeros(self.num_nodes), np.zeros(self.num_nodes)
         n = len(self._pin_node)
@@ -208,37 +177,16 @@ class SmoothWirelength:
         grad_y = np.bincount(self._pin_node, weights=scatter, minlength=self.num_nodes)
         return value, grad_x, grad_y
 
-    def _value_grad_reference(self, cx: np.ndarray, cy: np.ndarray):
-        """The original allocating evaluation path, verbatim."""
-        grad_x = np.zeros(self.num_nodes)
-        grad_y = np.zeros(self.num_nodes)
-        if len(self._starts) == 0:
-            return 0.0, grad_x, grad_y
-        px = cx[self._pin_node] + self._pin_dx
-        py = cy[self._pin_node] + self._pin_dy
-        vx, gx = self._axis_value_grad(px)
-        vy, gy = self._axis_value_grad(py)
-        value = float(np.sum(self._weights * (vx + vy)))
-        wpin = self._weights[self._pin_net]
-        np.add.at(grad_x, self._pin_node, wpin * gx)
-        np.add.at(grad_y, self._pin_node, wpin * gy)
-        return value, grad_x, grad_y
-
     def value_probe(self, cx: np.ndarray, cy: np.ndarray) -> float:
         """Objective value only, stashing state for :meth:`finish_grad`.
 
-        The optimized half of the line-search value/gradient split:
-        rejected trial points skip gradient assembly entirely, while
+        The value half of the line-search value/gradient split: rejected
+        trial points skip gradient assembly entirely, while
         :meth:`finish_grad` completes the gradient of the *last probed
         point* from the stashed exponential tables with exactly the ops
         :meth:`value_grad` would have run — the pair is bit-identical to
-        one ``value_grad`` call.  In reference mode it simply evaluates
-        ``value_grad`` and caches the gradients.
+        one ``value_grad`` call.
         """
-        if self.reference:
-            f, gx, gy = self.value_grad(cx, cy)
-            self._probe = ("full", gx, gy)
-            return f
         if len(self._starts) == 0:
             self._probe = ("empty",)
             return 0.0
@@ -250,10 +198,7 @@ class SmoothWirelength:
 
     def finish_grad(self):
         """Gradients of the last :meth:`value_probe` point."""
-        kind = self._probe[0]
-        if kind == "full":
-            return self._probe[1], self._probe[2]
-        if kind == "empty":
+        if self._probe[0] == "empty":
             return np.zeros(self.num_nodes), np.zeros(self.num_nodes)
         _, st_x, st_y = self._probe
         gx = self._axis_grad_fast(st_x, "x")
@@ -274,15 +219,9 @@ class SmoothWirelength:
         """
         if len(self._starts) == 0:
             return 0.0
-        if self.reference:
-            px = cx[self._pin_node] + self._pin_dx
-            py = cy[self._pin_node] + self._pin_dy
-            vx, _ = self._axis_value_grad(px)
-            vy, _ = self._axis_value_grad(py)
-        else:
-            px, py = self._pin_coords(cx, cy, "v")
-            vx, _ = self._axis_value_fast(px, "vx")
-            vy, _ = self._axis_value_fast(py, "vy")
+        px, py = self._pin_coords(cx, cy, "v")
+        vx, _ = self._axis_value_fast(px, "vx")
+        vy, _ = self._axis_value_fast(py, "vy")
         return float(np.sum(self._weights * (vx + vy)))
 
     def _pin_coords(self, cx: np.ndarray, cy: np.ndarray, tag: str):
@@ -310,22 +249,6 @@ class SmoothWirelength:
 
 class LogSumExp(SmoothWirelength):
     """The classical log-sum-exp wirelength model (Naylor patent lineage)."""
-
-    def _axis_value_grad(self, p: np.ndarray):
-        g = self.gamma
-        hi = self._net_max(p)[self._pin_net]
-        lo = self._net_min(p)[self._pin_net]
-        e_pos = np.exp((p - hi) / g)
-        e_neg = np.exp((lo - p) / g)
-        s_pos = self._net_sum(e_pos)
-        s_neg = self._net_sum(e_neg)
-        value = (
-            g * (np.log(s_pos) + np.log(s_neg))
-            + self._net_max(p)
-            - self._net_min(p)
-        )
-        grad = e_pos / s_pos[self._pin_net] - e_neg / s_neg[self._pin_net]
-        return value, grad
 
     def _axis_value_fast(self, p: np.ndarray, axis: str):
         g = self.gamma
@@ -364,29 +287,6 @@ class LogSumExp(SmoothWirelength):
 
 class WeightedAverage(SmoothWirelength):
     """The weighted-average (WA) wirelength model."""
-
-    def _axis_value_grad(self, p: np.ndarray):
-        g = self.gamma
-        hi = self._net_max(p)[self._pin_net]
-        lo = self._net_min(p)[self._pin_net]
-        # Max side, shifted by the net max for stability.
-        e_pos = np.exp((p - hi) / g)
-        s_pos = self._net_sum(e_pos)
-        t_pos = self._net_sum(p * e_pos)
-        f_pos = t_pos / s_pos
-        # Min side, shifted by the net min.
-        e_neg = np.exp((lo - p) / g)
-        s_neg = self._net_sum(e_neg)
-        t_neg = self._net_sum(p * e_neg)
-        f_neg = t_neg / s_neg
-        value = f_pos - f_neg
-        sp = s_pos[self._pin_net]
-        tp = t_pos[self._pin_net]
-        sn = s_neg[self._pin_net]
-        tn = t_neg[self._pin_net]
-        grad_pos = e_pos * ((1.0 + p / g) * sp - tp / g) / (sp * sp)
-        grad_neg = e_neg * ((1.0 - p / g) * sn + tn / g) / (sn * sn)
-        return value, grad_pos - grad_neg
 
     def _axis_value_fast(self, p: np.ndarray, axis: str):
         g = self.gamma
@@ -451,13 +351,11 @@ class WeightedAverage(SmoothWirelength):
         return grad
 
 
-def make_model(
-    kind: str, arrays, num_nodes: int, gamma: float, *, reference: bool = False
-) -> SmoothWirelength:
+def make_model(kind: str, arrays, num_nodes: int, gamma: float) -> SmoothWirelength:
     """Factory: ``"wa"`` (default placer choice) or ``"lse"``."""
     kind = kind.lower()
     if kind == "wa":
-        return WeightedAverage(arrays, num_nodes, gamma, reference=reference)
+        return WeightedAverage(arrays, num_nodes, gamma)
     if kind == "lse":
-        return LogSumExp(arrays, num_nodes, gamma, reference=reference)
+        return LogSumExp(arrays, num_nodes, gamma)
     raise ValueError(f"unknown wirelength model {kind!r}")

@@ -138,19 +138,43 @@ class TestResilienceFlags:
         assert "flow failed" in capsys.readouterr().err
 
 
+class TestLegalizationFailure:
+    def test_double_failure_reports_and_exits_1(
+        self, bench_dir, tmp_path, capsys, monkeypatch
+    ):
+        # Legalization and its Tetris fallback both raise: the flow
+        # degrades, leaves no legality report, and the command still
+        # reports the degradations and writes its outputs.
+        from repro.legal import Legalizer
+
+        def broken(self, design):
+            raise RuntimeError("injected legalization failure")
+
+        monkeypatch.setattr(Legalizer, "legalize", broken)
+        placed = str(tmp_path / "placed")
+        rc = main(
+            [
+                "place", "--aux", os.path.join(bench_dir, "clitest.aux"),
+                "--no-route", "--out", placed,
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stage=legal reason=fallback_failed" in err
+        assert os.path.exists(os.path.join(placed, "clitest.aux"))
+
+
 class TestDPKnobs:
     def test_knobs_reach_flow_config(self):
         from repro.cli import _apply_dp_knobs, build_parser
         from repro.flow.config import FlowConfig
 
         args = build_parser().parse_args(
-            ["place", "--aux", "x.aux", "--dp-passes", "1", "--dp-reference"]
+            ["place", "--aux", "x.aux", "--dp-passes", "1"]
         )
         cfg = FlowConfig()
         _apply_dp_knobs(cfg, args)
         assert cfg.dp.rounds == 1
-        assert cfg.dp.reference is True
-        assert cfg.legal.reference is True
 
     def test_defaults_leave_config_untouched(self):
         from repro.cli import _apply_dp_knobs, build_parser
@@ -160,15 +184,14 @@ class TestDPKnobs:
         cfg = FlowConfig()
         _apply_dp_knobs(cfg, args)
         default = FlowConfig()
-        assert cfg.dp.rounds == default.dp.rounds
-        assert cfg.dp.reference is False
-        assert cfg.legal.reference is False
+        assert cfg.dp == default.dp
+        assert cfg.legal == default.legal
 
     def test_place_with_dp_knobs(self, bench_dir):
         rc = main(
             [
                 "place", "--aux", os.path.join(bench_dir, "clitest.aux"),
-                "--no-route", "--dp-passes", "1", "--dp-reference",
+                "--no-route", "--dp-passes", "1",
             ]
         )
         assert rc == 0

@@ -9,6 +9,7 @@ from repro.density.bell import _MAX_WINDOW
 from repro.geometry import Rect
 from repro.grids import BinGrid
 from repro.wirelength import finite_difference_gradient
+from tests.reference.gp import ReferenceBellDensity
 
 
 def make_design(n_cells=15, macro=True, seed=0, core=100.0):
@@ -201,8 +202,8 @@ def density_pair(grid, widths, heights, fixed=()):
     """``(reference, optimized)`` models over the same nodes."""
     movable = np.ones(len(widths), dtype=bool)
     return tuple(
-        BellDensity(grid, widths, heights, movable, fixed_rects=fixed, reference=ref)
-        for ref in (True, False)
+        cls(grid, widths, heights, movable, fixed_rects=fixed)
+        for cls in (ReferenceBellDensity, BellDensity)
     )
 
 
@@ -216,7 +217,7 @@ def assert_same_value_grad(ref, opt, cx, cy):
 
 class TestOptimizedMatchesReference:
     """Window sweeps off every grid edge, uneven windows and the probe
-    protocol, bit for bit against the ``reference=True`` twin."""
+    protocol, bit for bit against the golden twin."""
 
     def test_cells_on_every_edge_and_corner(self):
         core = Rect(0, 0, 80, 60)

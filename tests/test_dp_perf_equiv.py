@@ -1,13 +1,14 @@
 """Reference-vs-optimized equivalence of the DP & legalization hot paths.
 
 Every optimized path introduced by the detailed-placement perf overhaul
-must reproduce its ``reference=True`` golden twin *bit for bit*: the CSR
-node→net/node→pin incidence, incremental HPWL deltas, batched move
-scoring, optimal regions, the array-based Tetris/Abacus legalizers, the
-legality audit, congestion spreading, and the end-to-end legalize+DP
-pipeline.  ``benchmarks/bench_dp_perf.py`` asserts the same on the suite
-designs; these tests keep the guarantee cheap enough to run on every
-push.
+must reproduce its golden twin in ``tests/reference/`` *bit for bit*:
+the CSR node→net/node→pin incidence, incremental HPWL deltas, batched
+move scoring, optimal regions, the array-based Tetris/Abacus legalizers,
+the legality audit, congestion spreading, and the end-to-end legalize+DP
+pipeline.  Kernel tests call the twin directly; the pipeline tests run
+under ``use_reference()``.  ``benchmarks/bench_dp_perf.py`` asserts the
+same on the suite designs; these tests keep the guarantee cheap enough
+to run on every push.
 """
 
 import numpy as np
@@ -18,14 +19,11 @@ from repro.db import Design, Net, Node, NodeKind, Pin, Row
 from repro.dp import DetailedPlacer, DPConfig, IncrementalHPWL
 from repro.dp.swap import _SlotIndex
 from repro.gp import initial_placement
-from repro.legal import (
-    LegalConfig,
-    Legalizer,
-    SubRowMap,
-    check_legal,
-    tetris_legalize,
-)
+from repro.legal import Legalizer, SubRowMap, check_legal, tetris_legalize
 from repro.legal.abacus import abacus_refine
+from tests.reference import LEGAL_DP_TWINS, use_reference
+from tests.reference.dp import ReferenceIncrementalHPWL, ReferenceSlotIndex
+from tests.reference.legal import _check_legal_reference, _refine_reference
 
 
 def bench(seed=11, cells=200, macros=2, **kw):
@@ -66,7 +64,7 @@ def rowed_design(n_cells=30, n_rows=6, sites=60, n_nets=20, seed=0):
 def pair(design_fn):
     """(reference, optimized) IncrementalHPWL over identical placements."""
     d = design_fn()
-    return IncrementalHPWL(d, reference=True), IncrementalHPWL(d, reference=False)
+    return ReferenceIncrementalHPWL(d), IncrementalHPWL(d)
 
 
 def random_moves(d, rng, n_moves, max_nodes=2):
@@ -196,13 +194,23 @@ class TestSlotIndex:
     def test_reference_and_fast_candidates_identical(self):
         d = rowed_design(seed=6)
         cells = [n.index for n in d.nodes if n.is_movable]
-        ref = _SlotIndex(d, cells, reference=True)
-        opt = _SlotIndex(d, cells, reference=False)
+        ref = ReferenceSlotIndex(d, cells)
+        opt = _SlotIndex(d, cells)
         rng = np.random.default_rng(6)
         for idx in cells:
             x = float(rng.uniform(0, 14))
             y = float(rng.uniform(0, 5))
             assert ref.candidates(idx, x, y, 8) == opt.candidates(idx, x, y, 8)
+
+
+def tetris(design, submap=None, *, reference: bool):
+    """:func:`tetris_legalize`, on the golden assignment loop if asked."""
+    if not reference:
+        return tetris_legalize(design, submap)
+    with use_reference() as calls:
+        out = tetris_legalize(design, submap)
+    assert calls["tetris"]
+    return out
 
 
 class TestLegalEquivalence:
@@ -212,7 +220,7 @@ class TestLegalEquivalence:
         for reference in (False, True):
             d = bench(seed=seed)
             initial_placement(d, seed=3)
-            tetris_legalize(d, reference=reference)
+            tetris(d, reference=reference)
             states[reference] = (
                 np.array([n.x for n in d.nodes]),
                 np.array([n.y for n in d.nodes]),
@@ -227,8 +235,9 @@ class TestLegalEquivalence:
             initial_placement(d, seed=3)
             desired = {n.index: n.x for n in d.nodes if n.is_movable}
             submap = SubRowMap(d)
-            tetris_legalize(d, submap, reference=reference)
-            abacus_refine(d, submap, desired, reference=reference)
+            tetris(d, submap, reference=reference)
+            refine = _refine_reference if reference else abacus_refine
+            refine(d, submap, desired)
             states[reference] = np.array([n.x for n in d.nodes])
         assert np.array_equal(states[False], states[True])
 
@@ -236,15 +245,15 @@ class TestLegalEquivalence:
         d = bench(seed=11)
         initial_placement(d, seed=3)
         Legalizer().legalize(d)
-        ref = check_legal(d, reference=True)
-        opt = check_legal(d, reference=False)
+        ref = _check_legal_reference(d)
+        opt = check_legal(d)
         assert ref.ok == opt.ok
         assert ref.summary() == opt.summary()
         # And on an *illegal* placement both report the same failure.
         d.nodes[0].x = d.nodes[1].x
         d.nodes[0].y = d.nodes[1].y
-        ref = check_legal(d, reference=True)
-        opt = check_legal(d, reference=False)
+        ref = _check_legal_reference(d)
+        opt = check_legal(d)
         assert ref.ok == opt.ok is False
 
 
@@ -257,19 +266,21 @@ class TestPipelineEquivalence:
         ],
     )
     def test_legalize_plus_dp_bitwise(self, kw):
-        states = {}
-        for reference in (False, True):
+        def legalize_and_place():
             d = bench(**kw)
             initial_placement(d, seed=3)
-            result = Legalizer(LegalConfig(reference=reference)).legalize(d)
-            report = DetailedPlacer(DPConfig(reference=reference)).run(
-                d, result.submap
-            )
-            states[reference] = (
+            result = Legalizer().legalize(d)
+            report = DetailedPlacer(DPConfig()).run(d, result.submap)
+            return (
                 np.array([n.x for n in d.nodes]),
                 np.array([n.y for n in d.nodes]),
                 report.passes,
             )
+
+        states = {False: legalize_and_place()}
+        with use_reference() as calls:
+            states[True] = legalize_and_place()
+        assert [t for t in LEGAL_DP_TWINS if not calls[t]] == []
         assert np.array_equal(states[False][0], states[True][0])
         assert np.array_equal(states[False][1], states[True][1])
         assert states[False][2] == states[True][2]

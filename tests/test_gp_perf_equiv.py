@@ -1,13 +1,14 @@
 """Reference-vs-optimized equivalence of the GP hot paths.
 
 Every optimized path introduced by the GP perf overhaul must reproduce
-its ``reference=True`` golden twin *bit for bit*: pin-table compaction,
-WA/LSE wirelength values and gradients (including the line-search
-value/gradient split), bell density values and gradients (small and
-large kernels, fixed obstacles, fences), rasterization, full CG
-trajectories, and end-to-end placements.  ``benchmarks/bench_gp_perf.py``
-asserts the same on the suite designs; these tests keep the guarantee
-cheap enough to run on every push.
+its golden twin in ``tests/reference/`` *bit for bit*: pin-table
+compaction, WA/LSE wirelength values and gradients (including the
+line-search value/gradient split), bell density values and gradients
+(small and large kernels, fixed obstacles, fences), rasterization, full
+CG trajectories, and end-to-end placements.  Kernel tests call the twin
+directly; the end-to-end tests run the placer under ``use_reference()``.
+``benchmarks/bench_gp_perf.py`` asserts the same on the suite designs;
+these tests keep the guarantee cheap enough to run on every push.
 """
 
 import numpy as np
@@ -21,6 +22,16 @@ from repro.gp import GPConfig, GlobalPlacer, optimize_macro_orientations
 from repro.grids import BinGrid
 from repro.optim import minimize_cg
 from repro.wirelength.smooth import compaction_for, make_model
+from tests.reference import GP_TWINS, use_reference
+from tests.reference.gp import (
+    ReferenceBellDensity,
+    best_orientation,
+    compact_pins_reference,
+    make_model_reference,
+    minimize_cg_reference,
+    pin_arrays_reference,
+    rasterize_rects_reference,
+)
 
 
 def bench(seed=11, cells=200, macros=2, **kw):
@@ -43,8 +54,8 @@ class TestCompaction:
     @pytest.mark.parametrize("seed", [1, 5, 9])
     def test_vectorized_matches_reference(self, seed):
         arrays = bench(seed=seed).pin_arrays()
-        ref = compaction_for(arrays, reference=True)
-        opt = compaction_for(arrays, reference=False)
+        ref = compact_pins_reference(arrays.net_ptr, arrays.net_weight)
+        opt = compaction_for(arrays)
         for attr in ("active", "starts", "weights", "pin_sel", "pin_net", "cstarts"):
             assert np.array_equal(getattr(ref, attr), getattr(opt, attr)), attr
 
@@ -57,9 +68,9 @@ class TestPinArrays:
     @pytest.mark.parametrize("seed", [1, 5, 9])
     def test_reference_and_fast_tables_identical(self, seed):
         d = bench(seed=seed)
-        ref = d.pin_arrays(reference=True)
+        ref = pin_arrays_reference(d)
         d._pin_cache = None  # force a rebuild through the fast path
-        opt = d.pin_arrays(reference=False)
+        opt = d.pin_arrays()
         for attr in ("pin_node", "pin_dx", "pin_dy", "net_ptr", "net_weight"):
             assert np.array_equal(getattr(ref, attr), getattr(opt, attr)), attr
 
@@ -68,11 +79,11 @@ class TestPinArrays:
         macro = next(n for n in d.nodes if n.kind is NodeKind.MACRO)
         from repro.geometry import Orientation
 
-        d.pin_arrays(reference=False)
+        d.pin_arrays()
         d.set_orientation(macro, Orientation.W)
-        opt = d.pin_arrays(reference=False)
+        opt = d.pin_arrays()
         d._pin_cache = None
-        ref = d.pin_arrays(reference=True)
+        ref = pin_arrays_reference(d)
         assert np.array_equal(ref.pin_dx, opt.pin_dx)
         assert np.array_equal(ref.pin_dy, opt.pin_dy)
 
@@ -84,8 +95,8 @@ class TestWirelengthEquivalence:
         d = bench(seed=seed, cells=300)
         arrays = d.pin_arrays()
         cx, cy = d.pull_centers()
-        ref = make_model(kind, arrays, len(d.nodes), 8.0, reference=True)
-        opt = make_model(kind, arrays, len(d.nodes), 8.0, reference=False)
+        ref = make_model_reference(kind, arrays, len(d.nodes), 8.0)
+        opt = make_model(kind, arrays, len(d.nodes), 8.0)
         fr, gxr, gyr = ref.value_grad(cx, cy)
         fo, gxo, gyo = opt.value_grad(cx, cy)
         assert fr == fo
@@ -97,7 +108,7 @@ class TestWirelengthEquivalence:
         d = bench(seed=3, cells=300)
         arrays = d.pin_arrays()
         cx, cy = d.pull_centers()
-        opt = make_model(kind, arrays, len(d.nodes), 8.0, reference=False)
+        opt = make_model(kind, arrays, len(d.nodes), 8.0)
         f, gx, gy = opt.value_grad(cx, cy)
         fp = opt.value_probe(cx, cy)
         gxp, gyp = opt.finish_grad()
@@ -109,8 +120,8 @@ class TestWirelengthEquivalence:
         d = bench(seed=3, cells=300)
         arrays = d.pin_arrays()
         cx, cy = d.pull_centers()
-        ref = make_model("wa", arrays, len(d.nodes), 8.0, reference=True)
-        opt = make_model("wa", arrays, len(d.nodes), 8.0, reference=False)
+        ref = make_model_reference("wa", arrays, len(d.nodes), 8.0)
+        opt = make_model("wa", arrays, len(d.nodes), 8.0)
         opt.value_grad(cx, cy)
         f2r, gxr, _ = ref.value_grad(cx + 1.5, cy - 0.5)
         f2o, gxo, _ = opt.value_grad(cx + 1.5, cy - 0.5)
@@ -121,11 +132,11 @@ class TestWirelengthEquivalence:
         d = bench(seed=3, cells=300)
         arrays = d.pin_arrays()
         cx, cy = d.pull_centers()
-        opt = make_model("wa", arrays, len(d.nodes), 8.0, reference=False)
+        opt = make_model("wa", arrays, len(d.nodes), 8.0)
         comp = opt._comp
         opt.rebind(d.pin_arrays())
         assert opt._comp is comp
-        ref = make_model("wa", arrays, len(d.nodes), 8.0, reference=True)
+        ref = make_model_reference("wa", arrays, len(d.nodes), 8.0)
         fr, gxr, gyr = ref.value_grad(cx, cy)
         fo, gxo, gyo = opt.value_grad(cx, cy)
         assert fr == fo
@@ -141,8 +152,8 @@ def _density_pair(design, grid_bins=256):
         for n in design.nodes
         if n.kind.is_fixed and n.kind.blocks_placement
     ]
-    ref = BellDensity(grid, w, h, movable, fixed_rects=fixed, reference=True)
-    opt = BellDensity(grid, w, h, movable, fixed_rects=fixed, reference=False)
+    ref = ReferenceBellDensity(grid, w, h, movable, fixed_rects=fixed)
+    opt = BellDensity(grid, w, h, movable, fixed_rects=fixed)
     return ref, opt
 
 
@@ -205,8 +216,8 @@ class TestRasterizeEquivalence:
         xh = xl + rng.uniform(0.5, 30, n)  # cells through macro-sized rects
         yh = yl + rng.uniform(0.5, 24, n)
         vals = rng.uniform(0.1, 2.0, n)
-        ref = grid.rasterize_rects(xl, yl, xh, yh, vals, reference=True)
-        opt = grid.rasterize_rects(xl, yl, xh, yh, vals, reference=False)
+        ref = rasterize_rects_reference(grid, xl, yl, xh, yh, vals)
+        opt = grid.rasterize_rects(xl, yl, xh, yh, vals)
         assert np.array_equal(ref, opt)
 
 
@@ -223,8 +234,8 @@ class TestCGEquivalence:
             return f, g
 
         x0 = np.array([-1.2, 1.0])
-        ref = minimize_cg(vg, x0, max_iter=60, step_init=0.1, record=True, reference=True)
-        opt = minimize_cg(vg, x0, max_iter=60, step_init=0.1, record=True, reference=False)
+        ref = minimize_cg_reference(vg, x0, max_iter=60, step_init=0.1, record=True)
+        opt = minimize_cg(vg, x0, max_iter=60, step_init=0.1, record=True)
         assert ref.trajectory == opt.trajectory
         assert np.array_equal(ref.x, opt.x)
         assert ref.iterations == opt.iterations
@@ -266,8 +277,15 @@ class TestOrientationEquivalence:
     def test_orientation_decisions_identical(self, seed):
         d_ref = bench(seed=seed, macros=4)
         d_opt = bench(seed=seed, macros=4)
-        changed_ref = optimize_macro_orientations(d_ref, reference=True)
-        changed_opt = optimize_macro_orientations(d_opt, reference=False)
+        changed_ref = 0
+        # optimize_macro_orientations with the original per-pin evaluation
+        for node in d_ref.nodes:
+            if node.kind is NodeKind.MACRO:
+                best, _ = best_orientation(d_ref, node)
+                if best is not node.orientation:
+                    d_ref.set_orientation(node, best)
+                    changed_ref += 1
+        changed_opt = optimize_macro_orientations(d_opt)
         assert changed_ref == changed_opt
         assert [n.orientation for n in d_ref.nodes] == [
             n.orientation for n in d_opt.nodes
@@ -285,10 +303,14 @@ class TestEndToEndEquivalence:
     )
     def test_final_placements_bitwise(self, kw, cfg_kw):
         results = {}
-        for reference in (False, True):
-            d = bench(**kw)
-            GlobalPlacer(GPConfig(reference=reference, **cfg_kw)).place(d)
-            results[reference] = positions(d)
+        d = bench(**kw)
+        GlobalPlacer(GPConfig(**cfg_kw)).place(d)
+        results[False] = positions(d)
+        d = bench(**kw)
+        with use_reference() as calls:
+            GlobalPlacer(GPConfig(**cfg_kw)).place(d)
+        results[True] = positions(d)
+        assert [t for t in GP_TWINS if not calls[t]] == []
         assert np.array_equal(results[False][0], results[True][0])
         assert np.array_equal(results[False][1], results[True][1])
         assert results[False][2] == results[True][2]

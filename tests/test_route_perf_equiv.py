@@ -3,8 +3,9 @@
 Every optimized path introduced by the router overhaul (vectorized
 decomposition, CSR-incidence offender scan, diff-array commits,
 incremental cost refresh, array-based maze A*, cached ``pull_centers``)
-is held against the original implementation on the same inputs and must
-match *exactly* — same arrays, same tie-breaking, same metrics.
+is held against the original implementation (its golden twin in
+``tests/reference/``) on the same inputs and must match *exactly* — same
+arrays, same tie-breaking, same metrics.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from repro.baselines.random_place import random_placement
 from repro.db import Design, Net, Node, Pin
 from repro.geometry import Orientation, Rect
 from repro.route import GlobalRouter, GridGraph, RoutingSpec
-from repro.route.maze import maze_route, maze_route_reference
+from repro.route.maze import maze_route
 from repro.route.pattern import prefix_costs
 from repro.route.steiner import (
     clear_decompose_cache,
@@ -23,6 +24,8 @@ from repro.route.steiner import (
     decompose_cache_size,
     decompose_net,
 )
+from tests.reference import ROUTE_TWINS, use_reference
+from tests.reference.route import _commit_all_reference, commit_all, maze_route_reference
 
 
 def small_routed_design(seed=3, cells=260):
@@ -94,8 +97,10 @@ class TestDecomposeAll:
         net = Net("n0", pins=[Pin(node=n.index)])
         d.add_net(net)
         d.routing = RoutingSpec.uniform(d.core, 4, 4)
-        router = GlobalRouter(d.routing, reference=True)
-        i0, j0, i1, j1 = router.segments_for(d.pin_arrays(), *d.pull_centers())
+        router = GlobalRouter(d.routing)
+        with use_reference() as calls:
+            i0, j0, i1, j1 = router.segments_for(d.pin_arrays(), *d.pull_centers())
+        assert calls["decompose"] == 1
         assert len({id(a) for a in (i0, j0, i1, j1)}) == 4
 
 
@@ -161,25 +166,26 @@ class TestBookkeepingEquivalence:
     def test_commit_all_matches_reference(self):
         spec, routes = self._routes()
         g1, g2 = GridGraph(spec), GridGraph(spec)
-        GlobalRouter._commit_all(g1, routes)
-        GlobalRouter._commit_all_reference(g2, routes)
+        commit_all(g1, routes)
+        _commit_all_reference(g2, routes)
         np.testing.assert_array_equal(g1.use_e, g2.use_e)
         np.testing.assert_array_equal(g1.use_n, g2.use_n)
 
     def test_offender_scan_matches_reference(self):
         spec, routes = self._routes(seed=11)
         graph = GridGraph(spec)
-        GlobalRouter._commit_all(graph, routes)
-        router_opt = GlobalRouter(spec)
-        router_ref = GlobalRouter(spec, reference=True)
-        opt = router_opt._offending_segments(graph, routes)
-        ref = router_ref._offending_segments(graph, routes)
+        commit_all(graph, routes)
+        router = GlobalRouter(spec)
+        opt = router._offending_segments(graph, routes)
+        with use_reference() as calls:
+            ref = router._offending_segments(graph, routes)
+        assert calls["offenders"] == 1
         assert sorted(np.asarray(opt).tolist()) == sorted(ref)
 
     def test_refresh_cost_lines_matches_full_rebuild(self):
         spec, routes = self._routes(seed=7)
         graph = GridGraph(spec)
-        GlobalRouter._commit_all(graph, routes)
+        commit_all(graph, routes)
         graph.bump_history()
         cost_e, cost_n = graph.cost_arrays()
         pe, pn = prefix_costs(cost_e, cost_n)
@@ -202,7 +208,9 @@ class TestFullRouteEquivalence:
         design = small_routed_design(seed=seed, cells=300)
         clear_decompose_cache()
         res_opt = GlobalRouter(design.routing).route(design)
-        res_ref = GlobalRouter(design.routing, reference=True).route(design)
+        with use_reference() as calls:
+            res_ref = GlobalRouter(design.routing).route(design)
+        assert [t for t in ROUTE_TWINS if not calls[t]] == []
         np.testing.assert_array_equal(res_opt.graph.use_e, res_ref.graph.use_e)
         np.testing.assert_array_equal(res_opt.graph.use_n, res_ref.graph.use_n)
         assert res_opt.metrics.rc == res_ref.metrics.rc
@@ -278,7 +286,6 @@ class TestKnobPlumbing:
 
         cfg = FlowConfig()
         assert cfg.route_max_maze_nets == 1500
-        assert cfg.route_cost_refresh == 1
 
     def test_cli_flags_parse_and_apply(self):
         from repro.cli import _apply_route_knobs, build_parser
@@ -291,7 +298,6 @@ class TestKnobPlumbing:
                 "--route-sweeps", "1",
                 "--maze-rounds", "5",
                 "--max-maze-nets", "42",
-                "--cost-refresh", "9",
             ]
         )
         cfg = FlowConfig()
@@ -299,7 +305,18 @@ class TestKnobPlumbing:
         assert cfg.route_sweeps == 1
         assert cfg.route_maze_rounds == 5
         assert cfg.route_max_maze_nets == 42
-        assert cfg.route_cost_refresh == 9
+
+    @pytest.mark.parametrize("command", ["place", "route"])
+    def test_cost_refresh_flag_refused(self, command, capsys):
+        # The router always refreshes rip-up costs incrementally and
+        # exactly; no flag selects a coarser refresh.
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--aux", "x.aux", "--cost-refresh", "9"])
+        assert exc.value.code == 2
+        assert "--cost-refresh" in capsys.readouterr().err
 
     def test_route_subcommand_has_knobs(self):
         from repro.cli import build_parser

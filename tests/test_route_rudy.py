@@ -8,6 +8,7 @@ from repro.geometry import Rect
 from repro.grids import BinGrid
 from repro.route import pin_density_map, rudy_map
 from repro.route.rudy import rudy_congestion_metrics
+from tests.reference import use_reference
 
 
 def two_pin_design(p0, p1, core=16.0):
@@ -125,7 +126,9 @@ class TestRudyBuffers:
         grid = BinGrid(d.core, 8, 8)
         arrays = d.pin_arrays()
         cx, cy = d.pull_centers()
-        golden = rudy_map(arrays, cx, cy, grid, reference=True)
+        with use_reference() as calls:  # rasterizes with the original sweep
+            golden = rudy_map(arrays, cx, cy, grid)
+        assert calls["rasterize"] == 1
         buf = grid.zeros()
         assert np.array_equal(golden, rudy_map(arrays, cx, cy, grid, out=buf))
 

@@ -145,10 +145,14 @@ class TestNoWorkerKnobs:
             (["route", "--aux", "x.aux"], ["--workers", "2"]),
             (["serve", "--root", "srv"], ["--job-workers", "2"]),
             (["submit", "--suite", "rh01"], ["--job-workers", "2"]),
+            (["place", "--aux", "x.aux"], ["--dp-reference"]),
+            (["place", "--aux", "x.aux"], ["--cost-refresh", "2"]),
+            (["route", "--aux", "x.aux"], ["--cost-refresh", "2"]),
         ],
         ids=[
             "place-workers", "place-parallel-fast", "route-workers",
-            "serve-job-workers", "submit-job-workers",
+            "serve-job-workers", "submit-job-workers", "place-dp-reference",
+            "place-cost-refresh", "route-cost-refresh",
         ],
     )
     def test_removed_cli_flag_refused(self, argv, removed, capsys):
@@ -180,18 +184,21 @@ REMOVED_KNOBS = {
         "inflation_start_overflow", "inflation_interval",
         "reservation_floor", "fence_weight_initial_ratio",
         "fence_weight_growth", "orientation_interval",
-        "coarse_iteration_fraction", "target_bins", "verbose",
+        "coarse_iteration_fraction", "target_bins", "verbose", "reference",
     ),
     DPConfig: (
         "reorder_window", "swap_candidates", "matching_batch",
-        "spread_max_moves", "congestion_gate_threshold",
+        "spread_max_moves", "congestion_gate_threshold", "reference",
+        "global_swap", "vertical_swap", "local_reorder", "matching",
     ),
-    LegalConfig: ("row_probe", "macro_channel"),
+    LegalConfig: ("row_probe", "macro_channel", "reference"),
     Legalizer: ("row_probe", "reference"),
     FlowConfig: (
         "net_weighting_strength", "net_weighting_max",
         "timing_weighting_max", "refine_after_macro_legal",
+        "route_cost_refresh",
     ),
+    GlobalRouter: ("cost_refresh", "reference"),
     QuadraticConfig: (
         "anchor_weight_initial", "anchor_weight_growth", "spread_bins",
         "spread_strength",

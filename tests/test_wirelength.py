@@ -25,6 +25,7 @@ from repro.wirelength import (
     make_model,
     net_bounding_boxes,
 )
+from tests.reference.gp import make_model_reference
 
 
 def build_design(positions, nets, weights=None):
@@ -222,7 +223,7 @@ class TestGradients:
         d = random_design(rng, n_nodes=40, n_nets=30)
         arrays = d.pin_arrays()
         cx, cy = d.pull_centers()
-        ref = make_model(kind, arrays, d.num_nodes, 2.0, reference=True)
+        ref = make_model_reference(kind, arrays, d.num_nodes, 2.0)
         opt = make_model(kind, arrays, d.num_nodes, 2.0)
         assert opt.value(cx, cy) == ref.value(cx, cy)
         # value() keeps a pending probe intact for finish_grad().
