@@ -1,19 +1,17 @@
 """Benchmark quality-regression gate.
 
-Compares a freshly produced benchmark record (``BENCH_gp.json`` from
-``bench_gp_perf.py``, ``BENCH_dp.json`` from ``bench_dp_perf.py``, or
-``BENCH_route.json`` from ``bench_perf.py``)
+Compares a freshly produced serve or chaos record (``BENCH_serve.json``
+from ``bench_serve.py``, ``BENCH_chaos.json`` from ``bench_chaos.py``)
 against a committed baseline under ``benchmarks/baselines/`` and exits
-non-zero if any *quality* metric drifts beyond tolerance.  Timing fields
-are deliberately ignored — wall time is machine-dependent and belongs in
-artifacts, not gates; the gated metrics (HPWL, density overflow, routed
-overflow, congestion, vias) are deterministic for a given code revision,
-so any drift means behaviour changed.
+non-zero if any metric drifts beyond tolerance.  Fields outside
+``metrics`` (wall times, paths) are ignored; each metric is held to its
+``TOLERANCES`` band through :func:`repro.obs.runs.exceeds_tolerance`,
+the rule the stage tests and ``repro runs diff`` use too.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/check_regression.py \
-        --bench BENCH_gp.json --baseline benchmarks/baselines/BENCH_gp_rh02.json
+        --bench BENCH_chaos_s5.json --baseline benchmarks/baselines/BENCH_chaos.json
 
 Drift in *either* direction fails the gate: an improvement is a reason
 to re-baseline intentionally (run the bench, inspect, commit the new
@@ -26,18 +24,7 @@ import argparse
 import json
 import sys
 
-# metric name -> (relative tolerance, absolute tolerance); a metric
-# passes if it is within EITHER bound of the baseline value.  The table
-# lives in repro.obs.runs so that `repro runs diff` flags regressions
-# with exactly the bounds CI gates on.
-from repro.obs.runs import DEFAULT_TOLERANCE, TOLERANCES
-
-# Flags that must be true in the fresh record for the gate to pass.
-# Each is checked only when present.
-REQUIRED_FLAGS = (
-    "identical_placements",
-    "identical_metrics",
-)
+from repro.obs.runs import exceeds_tolerance, tolerance_for
 
 
 def compare(fresh: dict, baseline: dict) -> list[str]:
@@ -49,9 +36,6 @@ def compare(fresh: dict, baseline: dict) -> list[str]:
             f"baseline={baseline.get('design')!r}"
         )
         return failures
-    for flag in REQUIRED_FLAGS:
-        if flag in fresh and not fresh[flag]:
-            failures.append(f"{flag} is false in the fresh record")
     # A degraded record means a resilience fallback fired during the
     # bench run (numerical rollback, watchdog expiry, stage fallback) —
     # its metrics are not comparable and the run itself needs a look.
@@ -69,13 +53,11 @@ def compare(fresh: dict, baseline: dict) -> list[str]:
             failures.append(f"metric {name!r} missing from the fresh record")
             continue
         value = fresh_metrics[name]
-        rel_tol, abs_tol = TOLERANCES.get(name, DEFAULT_TOLERANCE)
-        drift = abs(value - base_value)
-        limit = max(rel_tol * abs(base_value), abs_tol)
-        if drift > limit:
+        if exceeds_tolerance(name, value, base_value):
+            rel_tol, abs_tol = tolerance_for(name)
             failures.append(
                 f"metric {name!r} drifted: fresh={value!r} baseline={base_value!r} "
-                f"(|drift|={drift:.6g} > tolerance {limit:.6g})"
+                f"(tolerance {rel_tol:g} relative or {abs_tol:g} absolute)"
             )
     for name in sorted(fresh_metrics):
         if name not in base_metrics:

@@ -21,10 +21,7 @@ Environment:
 
 from __future__ import annotations
 
-import importlib
 import os
-import sys
-from contextlib import contextmanager
 
 from repro.benchgen import SUITE, make_suite_design
 from repro.dp import DPConfig
@@ -110,33 +107,6 @@ def host_metadata() -> dict:
     except (AttributeError, OSError):  # no affinity API (macOS, Windows)
         cores = os.cpu_count() or 1
     return {"hostname": platform.node(), "logical_cores": cores}
-
-
-@contextmanager
-def reference_leg(stage: str):
-    """Run the enclosed stage on its golden twins from ``tests/reference/``.
-
-    ``stage`` is ``"gp"``, ``"legal_dp"`` or ``"route"``.  Raises
-    ``AssertionError`` on exit if any twin of that stage never ran, so a
-    reference leg cannot silently time the optimized code against
-    itself.  A harness run as a script has ``benchmarks/`` on
-    ``sys.path`` rather than the repository root, so the root is added
-    here.
-    """
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    if root not in sys.path:
-        sys.path.insert(0, root)
-    twins = importlib.import_module("tests.reference")
-    expected = {
-        "gp": twins.GP_TWINS,
-        "legal_dp": twins.LEGAL_DP_TWINS,
-        "route": twins.ROUTE_TWINS,
-    }[stage]
-    with twins.use_reference() as calls:
-        yield calls
-    missing = [name for name in expected if not calls[name]]
-    if missing:
-        raise AssertionError(f"golden twins never ran: {missing}")
 
 
 def print_banner(title: str) -> None:

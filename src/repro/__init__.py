@@ -27,7 +27,6 @@ from repro.route import (
     GlobalRouter,
     RoutingSpec,
     congestion_metrics,
-    rc_score,
     scaled_hpwl,
 )
 from repro.io import read_bookshelf, write_bookshelf
@@ -74,7 +73,6 @@ __all__ = [
     "get_tracer",
     "make_benchmark",
     "make_suite_design",
-    "rc_score",
     "read_bookshelf",
     "run_baseline_flow",
     "scaled_hpwl",

@@ -1,23 +1,10 @@
 """Placement-quality analytics.
 
 Post-hoc inspection tools a physical-design engineer reaches for when a
-result looks off: net-length distributions, displacement fields between
-two placements, utilization profiles, and a one-call quality summary
-combining them with the library's congestion and timing metrics.
+result looks off: net-length distributions and displacement fields
+between two placements.
 """
 
-from repro.analysis.quality import (
-    QualitySummary,
-    displacement_stats,
-    net_length_stats,
-    quality_summary,
-    utilization_profile,
-)
+from repro.analysis.quality import displacement_stats, net_length_stats
 
-__all__ = [
-    "QualitySummary",
-    "displacement_stats",
-    "net_length_stats",
-    "quality_summary",
-    "utilization_profile",
-]
+__all__ = ["displacement_stats", "net_length_stats"]

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.density import density_map, density_overflow
 from repro.wirelength.hpwl import hpwl_per_net
 
 
@@ -56,84 +53,3 @@ def displacement_stats(design, reference: dict) -> dict:
         "p90": float(np.percentile(arr, 90)),
         "max": float(arr.max()),
     }
-
-
-def utilization_profile(design, *, bands: int = 10, axis: str = "y") -> np.ndarray:
-    """Movable-area utilization per horizontal (or vertical) band.
-
-    A flat profile means the placer spread evenly; spikes reveal
-    under-spread pockets that will hurt legalization.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
-    core = design.core
-    used = np.zeros(bands)
-    free = np.zeros(bands)
-    lo = core.yl if axis == "y" else core.xl
-    span = core.height if axis == "y" else core.width
-    for node in design.nodes:
-        r = node.rect
-        a, b = (r.yl, r.yh) if axis == "y" else (r.xl, r.xh)
-        other = r.width if axis == "y" else r.height
-        for band in range(bands):
-            b_lo = lo + span * band / bands
-            b_hi = lo + span * (band + 1) / bands
-            overlap = max(0.0, min(b, b_hi) - max(a, b_lo))
-            if overlap <= 0:
-                continue
-            if node.is_movable:
-                used[band] += overlap * other
-            elif node.kind.blocks_placement:
-                free[band] -= overlap * other
-    band_area = core.area / bands
-    capacity = np.maximum(band_area + free, 1e-12)
-    return used / capacity
-
-
-@dataclass
-class QualitySummary:
-    """One-call overview of a placement's health."""
-
-    hpwl: float
-    net_stats: dict
-    overflow: float
-    peak_density: float
-    rc: float | None = None
-    longest_path: float | None = None
-
-    def as_row(self) -> dict:
-        row = {
-            "HPWL": round(self.hpwl, 0),
-            "net_mean": round(self.net_stats.get("mean", 0), 2),
-            "net_p99": round(self.net_stats.get("p99", 0), 2),
-            "overflow": round(self.overflow, 4),
-            "peak_density": round(self.peak_density, 3),
-        }
-        if self.rc is not None:
-            row["RC"] = round(self.rc, 4)
-        if self.longest_path is not None:
-            row["longest_path"] = round(self.longest_path, 1)
-        return row
-
-
-def quality_summary(
-    design, *, route: bool = False, timing: bool = False
-) -> QualitySummary:
-    """Compute a :class:`QualitySummary` (routing/timing optional)."""
-    _, dm = density_map(design)
-    summary = QualitySummary(
-        hpwl=design.hpwl(),
-        net_stats=net_length_stats(design),
-        overflow=density_overflow(design),
-        peak_density=float(dm.max()) if dm.size else 0.0,
-    )
-    if route and design.routing is not None:
-        from repro.route import GlobalRouter
-
-        rr = GlobalRouter(design.routing).route(design)
-        summary.rc = rr.metrics.rc
-    if timing:
-        from repro.timing import analyze
-
-        summary.longest_path = analyze(design).clock_period
-    return summary

@@ -10,13 +10,11 @@ benchmarks drop in through :mod:`repro.io` unchanged.
 """
 
 from repro.benchgen.circuits import BenchmarkSpec, make_benchmark
-from repro.benchgen.suite import SUITE, load_suite, make_suite_design, suite_specs
+from repro.benchgen.suite import SUITE, make_suite_design
 
 __all__ = [
     "BenchmarkSpec",
     "SUITE",
-    "load_suite",
     "make_benchmark",
     "make_suite_design",
-    "suite_specs",
 ]

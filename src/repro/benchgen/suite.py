@@ -92,20 +92,6 @@ SUITE = {
 }
 
 
-def suite_specs(names=None) -> list:
-    """Specs of the requested suite designs (default: all, in order)."""
-    if names is None:
-        names = sorted(SUITE)
-    return [SUITE[name] for name in names]
-
-
 def make_suite_design(name: str):
     """Generate one suite design by name."""
     return make_benchmark(SUITE[name])
-
-
-def load_suite(names=None) -> dict:
-    """Generate several suite designs; returns ``{name: Design}``."""
-    if names is None:
-        names = sorted(SUITE)
-    return {name: make_benchmark(SUITE[name]) for name in names}

@@ -715,7 +715,7 @@ def _cmd_runs_diff(args) -> int:
     if diff["comparable"] and diff["regressions"]:
         print(
             f"REGRESSION: {', '.join(diff['regressions'])} drifted beyond "
-            "check_regression tolerances",
+            "tolerance (repro.obs.runs.TOLERANCES)",
             file=sys.stderr,
         )
         return 1

@@ -333,11 +333,6 @@ class Design:
             [node.kind is NodeKind.MACRO for node in self.nodes], dtype=bool
         )
 
-    def filler_mask(self) -> np.ndarray:
-        return np.array(
-            [node.kind is NodeKind.FILLER for node in self.nodes], dtype=bool
-        )
-
     def region_ids(self) -> np.ndarray:
         """Fence id per node (-1 when unconstrained)."""
         return np.array(
@@ -484,9 +479,7 @@ class Design:
         return float(np.sum(arrays.net_weight[nonempty] * (wx + wy)))
 
     def movable_area(self) -> float:
-        return sum(
-            n.area for n in self.nodes if n.is_movable and n.kind is not NodeKind.FILLER
-        )
+        return sum(n.area for n in self.nodes if n.is_movable)
 
     def fixed_area_in_core(self) -> float:
         """Area of fixed, placement-blocking footprints clipped to the core."""

@@ -1,4 +1,4 @@
-"""Nodes: standard cells, macros, fixed blockages, terminals, fillers."""
+"""Nodes: standard cells, macros, fixed blockages, terminals."""
 
 from __future__ import annotations
 
@@ -16,11 +16,10 @@ class NodeKind(Enum):
     FIXED = "fixed"  # fixed macro / placement blockage
     TERMINAL = "terminal"  # fixed I/O pad (occupies area)
     TERMINAL_NI = "terminal_ni"  # fixed pin with no placement footprint
-    FILLER = "filler"  # whitespace filler inserted by the placer
 
     @property
     def is_movable(self) -> bool:
-        return self in (NodeKind.CELL, NodeKind.MACRO, NodeKind.FILLER)
+        return self in (NodeKind.CELL, NodeKind.MACRO)
 
     @property
     def is_fixed(self) -> bool:

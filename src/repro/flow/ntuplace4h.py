@@ -196,15 +196,12 @@ class NTUplace4H:
             )
 
         def scored_hpwl() -> float:
-            import numpy as np
-
+            from repro.optim import blocked_dot
             from repro.wirelength import hpwl_per_net
 
             arrays = design.pin_arrays()
             cx, cy = design.pull_centers()
-            return float(
-                np.dot(score_weights, hpwl_per_net(arrays, cx, cy))
-            )
+            return blocked_dot(score_weights, hpwl_per_net(arrays, cx, cy))
 
         def degrade(stage: str, reason: str, **detail) -> None:
             entry = {"stage": stage, "reason": reason}

@@ -7,20 +7,12 @@ lower-left corner.
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.geometry.orientation import (
-    Orientation,
-    compose,
-    invert,
-    transform_offset,
-    transform_size,
-)
+from repro.geometry.orientation import Orientation, invert, transform_offset
 
 __all__ = [
     "Point",
     "Rect",
     "Orientation",
-    "compose",
     "invert",
     "transform_offset",
-    "transform_size",
 ]

@@ -75,25 +75,6 @@ def transform_offset(dx: float, dy: float, orient: Orientation) -> tuple:
     return (a * dx + b * dy, c * dx + d * dy)
 
 
-def transform_size(width: float, height: float, orient: Orientation) -> tuple:
-    """Bounding-box dimensions of a ``width x height`` node under ``orient``."""
-    if orient.swaps_dimensions:
-        return (height, width)
-    return (width, height)
-
-
-def compose(first: Orientation, then: Orientation) -> Orientation:
-    """Orientation equivalent to applying ``first`` and then ``then``."""
-    flip = first.is_flipped ^ then.is_flipped
-    if then.is_flipped:
-        # Flipping conjugates the rotation group: F . R(k) = R(-k) . F.
-        rot = (then.rotation - first.rotation) % 4
-    else:
-        rot = (then.rotation + first.rotation) % 4
-    name = ("F" if flip else "") + "NWSE"[rot]
-    return Orientation(name)
-
-
 def invert(orient: Orientation) -> Orientation:
     """The orientation that undoes ``orient``."""
     if orient.is_flipped:

@@ -19,7 +19,6 @@ from repro.legal.tetris import tetris_legalize
 from repro.legal.abacus import abacus_refine
 from repro.legal.check import LegalityReport, check_legal
 from repro.legal.eco import EcoResult, eco_legalize
-from repro.legal.fillers import insert_fillers, remove_fillers
 from repro.legal.legalizer import LegalConfig, Legalizer
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "SubRowMap",
     "abacus_refine",
     "check_legal",
-    "insert_fillers",
     "legalize_macros",
-    "remove_fillers",
     "tetris_legalize",
 ]

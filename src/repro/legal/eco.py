@@ -82,7 +82,7 @@ def eco_legalize(
         search_radius = design.core.height
     for idx in order:
         node = design.nodes[idx]
-        if node.kind not in (NodeKind.CELL, NodeKind.FILLER):
+        if node.kind is not NodeKind.CELL:
             result.failed.append(idx)  # macros need the macro legalizer
             continue
         best = None

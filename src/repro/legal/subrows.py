@@ -142,10 +142,7 @@ class SubRowMap:
         for sr in self.subrows:
             index.setdefault(round(sr.y, 6), []).append(sr)
         for node in design.nodes:
-            if not node.is_movable or node.kind not in (
-                NodeKind.CELL,
-                NodeKind.FILLER,
-            ):
+            if not node.is_movable or node.kind is not NodeKind.CELL:
                 continue
             for sr in index.get(round(node.y, 6), []):
                 if sr.x_min - 1e-6 <= node.x and node.x + node.placed_width <= sr.x_max + 1e-6:

@@ -43,7 +43,7 @@ def tetris_legalize(
     snapshot = {
         n.index: (n.x, n.y)
         for n in design.nodes
-        if n.is_movable and n.kind in (NodeKind.CELL, NodeKind.FILLER)
+        if n.is_movable and n.kind is NodeKind.CELL
     }
     try:
         return _assign(design, submap, row_probe, pack_only=False)
@@ -60,7 +60,7 @@ def _sorted_cells(design: Design):
     cells = [
         n
         for n in design.nodes
-        if n.is_movable and n.kind in (NodeKind.CELL, NodeKind.FILLER)
+        if n.is_movable and n.kind is NodeKind.CELL
     ]
     cells.sort(key=lambda n: n.x)
     return cells

@@ -18,9 +18,9 @@ Two independent, off-by-default mechanisms:
   charges the elapsed wall time to the innermost function, keyed by the
   stage the sampled thread is in (the tracer's per-thread span path).
   ``report()`` returns the top functions per stage;
-  ``format_trace_summary(tracer, profile=prof)`` and the bench JSONs
-  surface it.  Overhead is one frame walk per interval — negligible at
-  the default 5 ms — and exactly zero when not started.
+  ``format_trace_summary(tracer, profile=prof)`` surfaces it.  Overhead
+  is one frame walk per interval — negligible at the default 5 ms — and
+  exactly zero when not started.
 """
 
 from __future__ import annotations
@@ -207,12 +207,3 @@ class SamplingProfiler:
                 }
             )
         return rows
-
-    def as_record(self, top: int = 10) -> dict:
-        """JSON-ready summary for bench emitters (``profile`` section)."""
-        return {
-            "interval_s": self.interval,
-            "samples": self.samples,
-            "wall_s": round(self.wall_s, 4),
-            "top": self.report(top),
-        }

@@ -10,9 +10,11 @@ database (``runs.sqlite``) for queries plus an append-only
 
 The CLI exposes the registry as ``repro runs list|show|diff``; *diff*
 renders per-stage runtime and quality deltas between two runs and
-flags regressions using :data:`TOLERANCES` — the same bounds
-``benchmarks/check_regression.py`` gates CI with (it imports them from
-here), so "regression" means the same thing on a laptop and in CI.
+flags regressions using :data:`TOLERANCES` through
+:func:`exceeds_tolerance` — the same rule ``benchmarks/check_regression.py``
+gates the chaos and serve records with in CI, and the stage tests hold
+their suite-design quality values to, so "regression" means the same
+thing on a laptop and in CI.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ ENV_RUNS_DIR = "REPRO_RUNS_DIR"
 
 #: metric name -> (relative tolerance, absolute tolerance); a metric
 #: passes if it is within EITHER bound of the baseline value.  This is
-#: the canonical copy — ``benchmarks/check_regression.py`` imports it.
+#: the one copy: chaos and serve records (``check_regression.py``), flow
+#: run records (``repro runs diff``) and the stage tests'
+#: suite-design values all read it through :func:`exceeds_tolerance`.
 TOLERANCES = {
     "hpwl": (0.02, 0.0),
     "overflow": (0.02, 0.02),
@@ -41,9 +45,9 @@ TOLERANCES = {
     "peak_congestion": (0.02, 0.05),
     "vias": (0.02, 0.0),
     "gp_iterations": (0.0, 0.0),
-    # Detailed-placement records (BENCH_dp.json): pass structure and
-    # accept counts are exact for a given revision; the continuous
-    # quality numbers get the usual drift band.
+    # Legalize + detailed placement (tests/test_dp_perf_equiv.py): pass
+    # structure and accept counts are exact for a given revision; the
+    # continuous quality numbers get the usual drift band.
     "dp_improvement": (0.02, 1e-6),
     "dp_accepted": (0.0, 0.0),
     "dp_pass_count": (0.0, 0.0),
@@ -89,13 +93,13 @@ TOLERANCES = {
     "chaos_restarts": (1e9, 1e9),
     "chaos_faults_fired": (1e9, 1e9),
     "chaos_store_recoveries": (1e9, 1e9),
-    # Learned-congestion-predictor records (BENCH_predict.json).  Round
+    # Learned congestion predictor (tests/test_predict.py, rh04).  Round
     # counts and fallbacks are exact for a given revision — a fallback
-    # firing mid-bench or a scheduling change is behaviour drift, not
+    # firing mid-run or a scheduling change is behaviour drift, not
     # noise.  Drift/MSE get a modest absolute band (retraining is seed-
     # deterministic but numerically sensitive to feature-code changes);
     # the hybrid-vs-router quality deltas are gated on an absolute band
-    # around zero; the timing ratio rides along ungated.
+    # around zero.
     "predict_router_rounds": (0.0, 0.0),
     "predict_predictor_rounds": (0.0, 0.0),
     "predict_fallbacks": (0.0, 0.0),
@@ -104,7 +108,6 @@ TOLERANCES = {
     "predict_val_mse": (0.0, 0.05),
     "predict_hpwl_rel_delta": (0.0, 0.01),
     "predict_overflow_delta": (0.0, 0.02),
-    "predict_inflation_speedup": (1e9, 1e9),
 }
 
 #: Fallback tolerance for metrics without an explicit entry.
@@ -117,7 +120,7 @@ def tolerance_for(metric: str) -> tuple[float, float]:
 
 
 def exceeds_tolerance(metric: str, value: float, baseline: float) -> bool:
-    """check_regression semantics: drift beyond BOTH bounds fails."""
+    """Whether ``value`` drifted from ``baseline`` beyond BOTH bounds."""
     rel_tol, abs_tol = tolerance_for(metric)
     drift = abs(value - baseline)
     return drift > max(rel_tol * abs(baseline), abs_tol)
@@ -395,9 +398,9 @@ def diff_runs(a: dict, b: dict) -> dict:
 
     Returns ``{"metrics": [...], "stages": [...], "regressions": [...],
     "comparable": bool}``.  A metric row is flagged as a regression when
-    its drift (in either direction) exceeds the
-    ``check_regression``-style tolerance — runtime rows are reported
-    but never gate, matching CI's timing policy.
+    its drift (in either direction) exceeds its :data:`TOLERANCES`
+    band — runtime rows are reported but never gate, matching CI's
+    timing policy.
     """
     metrics_a = a.get("metrics", {})
     metrics_b = b.get("metrics", {})

@@ -10,10 +10,12 @@ The placement-specific twists, both standard in the NTUplace lineage:
 * an optional projection keeps iterates inside the core (and inside fence
   regions) after every step, making the method a projected CG.
 
-The default implementation keeps its inner loop allocation-free: the
-iterate, trial point, direction, and gradients live in preallocated
-buffers updated in place (only commutative/associative-neutral rewrites,
-so the trajectory is bit-identical to the original).  Gradients returned
+Every dot product goes through :func:`blocked_dot`, so the trajectory
+does not depend on the BLAS thread count.  The inner loop is
+allocation-free: the iterate, trial point, direction, and gradients
+live in preallocated buffers updated in place (only
+commutative/associative-neutral rewrites, so the trajectory is
+bit-identical to the original).  Gradients returned
 by ``value_grad`` are copied into solver-owned storage, which also makes
 the solver safe for objectives that reuse one output buffer across calls.
 The original allocating implementation is kept as a golden twin under
@@ -26,6 +28,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+#: OpenBLAS splits a ``ddot`` across its threads above 10,000 elements,
+#: and the split changes the last bits of the sum.  :func:`blocked_dot`
+#: never hands BLAS more than this many, so its result does not depend
+#: on the BLAS thread count.
+DOT_CHUNK = 8192
+
+
+def blocked_dot(a, b) -> float:
+    """``a . b`` of two 1-D vectors, summed over fixed chunks.
+
+    Chunk products are added left to right, so the bits depend only on
+    the inputs.  Vectors of up to :data:`DOT_CHUNK` elements take one
+    ``np.dot``, bit-identical to calling it directly.
+    """
+    n = len(a)
+    if n <= DOT_CHUNK:
+        return float(np.dot(a, b))
+    total = 0.0
+    for lo in range(0, n, DOT_CHUNK):
+        total += float(np.dot(a[lo:lo + DOT_CHUNK], b[lo:lo + DOT_CHUNK]))
+    return total
 
 
 @dataclass
@@ -97,7 +122,7 @@ def minimize_cg(
             converged = True
             break
         np.divide(d, dinf, out=d_hat)
-        slope = float(np.dot(g, d_hat))
+        slope = blocked_dot(g, d_hat)
         if slope >= 0.0:  # not a descent direction: restart on -g
             np.negative(g, out=d)
             np.abs(d, out=work)
@@ -106,7 +131,7 @@ def minimize_cg(
                 converged = True
                 break
             np.divide(d, dinf, out=d_hat)
-            slope = float(np.dot(g, d_hat))
+            slope = blocked_dot(g, d_hat)
             if slope >= 0.0:
                 converged = True
                 break
@@ -140,11 +165,11 @@ def minimize_cg(
         if step_max is not None:
             alpha = min(alpha, step_max)
         # Polak-Ribiere+ update.
-        gg = float(np.dot(g, g))
+        gg = blocked_dot(g, g)
         beta = 0.0
         if gg > 0:
             np.subtract(g_new, g, out=work)
-            beta = max(0.0, float(np.dot(g_new, work)) / gg)
+            beta = max(0.0, blocked_dot(g_new, work) / gg)
         d *= beta
         d -= g_new
         rel_drop = abs(f - f_new) / max(abs(f), 1e-12)
@@ -156,7 +181,9 @@ def minimize_cg(
         if rel_drop < rel_tol:
             converged = True
             break
-    grad_norm = float(np.linalg.norm(g)) if g.size else 0.0
+    # ``np.linalg.norm`` of a vector is ``sqrt(dot(g, g))``, so this is
+    # bit-identical to it up to DOT_CHUNK elements.
+    grad_norm = math.sqrt(blocked_dot(g, g)) if g.size else 0.0
     return CGResult(
         x=x,
         value=f,

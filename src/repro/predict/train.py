@@ -9,9 +9,10 @@ every tile with the congestion a real pattern-only lookahead route
 reports there.  Everything is seeded, so the same call produces the
 same artifact byte for byte.
 
-``repro predict train`` and ``benchmarks/bench_predict.py`` drive this;
-the committed default artifact under ``predict/artifacts/`` ships with
-the package so ``estimator="hybrid"`` works out of the box.
+``repro predict train`` and the rh04 hybrid-estimator test in
+``tests/test_predict.py`` drive this; the committed default artifact
+under ``predict/artifacts/`` ships with the package so
+``estimator="hybrid"`` works out of the box.
 """
 
 from __future__ import annotations

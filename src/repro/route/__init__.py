@@ -10,16 +10,14 @@ router runs congestion-aware pattern routing (L then Z) with a maze
 """
 
 from repro.route.spec import LayerSpec, RoutingSpec
-from repro.route.layer_report import LayerUsage, spread_over_layers
 from repro.route.graph import GridGraph
 from repro.route.rudy import pin_density_map, rudy_congestion_metrics, rudy_map
 from repro.route.steiner import decompose_net, manhattan_mst
-from repro.route.router import GlobalRouter, RouteResult, RouteTimeout, route_design
+from repro.route.router import GlobalRouter, RouteResult, RouteTimeout
 from repro.route.metrics import (
     ace,
     congestion_metrics,
     CongestionMetrics,
-    rc_score,
     scaled_hpwl,
 )
 
@@ -28,8 +26,6 @@ __all__ = [
     "GlobalRouter",
     "GridGraph",
     "LayerSpec",
-    "LayerUsage",
-    "spread_over_layers",
     "RouteResult",
     "RouteTimeout",
     "RoutingSpec",
@@ -38,8 +34,6 @@ __all__ = [
     "decompose_net",
     "manhattan_mst",
     "pin_density_map",
-    "rc_score",
-    "route_design",
     "rudy_congestion_metrics",
     "rudy_map",
     "scaled_hpwl",

@@ -37,17 +37,6 @@ def ace(congestion: np.ndarray, fraction: float) -> float:
     return float(top.mean())
 
 
-def rc_score(congestion: np.ndarray, levels=ACE_LEVELS) -> float:
-    """The contest RC: mean of ACE at the standard levels, as a ratio.
-
-    1.0 means the worst pockets of the design are exactly at capacity;
-    above 1.0 the placement is unroutable without detours.
-    """
-    if congestion.size == 0:
-        return 0.0
-    return float(np.mean([ace(congestion, f) for f in levels]))
-
-
 def scaled_hpwl(hpwl: float, rc: float, penalty: float = SCALED_HPWL_PENALTY) -> float:
     """HPWL scaled by the congestion penalty (the contest objective)."""
     over_percent = max(0.0, (rc - 1.0) * 100.0)

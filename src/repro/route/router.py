@@ -23,8 +23,8 @@ Python scan with per-run ``any()``; usage updates are incremental
 use the diff-array/cumsum commit), and rip-up refreshes only the cost
 lines a rip or commit dirtied.  The original per-net/dict/scan
 implementations are golden twins under ``tests/reference/``, held
-against these paths by the equivalence tests and
-``benchmarks/bench_perf.py``.
+against these paths by ``tests/test_route_perf_equiv.py``, on small
+designs and on suite designs.
 """
 
 from __future__ import annotations
@@ -368,12 +368,3 @@ class GlobalRouter:
                 (dirty_h if kind == "H" else dirty_v).add(line)
             rerouted += 1
         return rerouted
-
-
-def route_design(design, spec: RoutingSpec | None = None, **router_kw) -> RouteResult:
-    """Convenience wrapper: route ``design`` over ``spec`` (or its own)."""
-    if spec is None:
-        spec = design.routing
-    if spec is None:
-        raise ValueError("design has no routing spec; pass one explicitly")
-    return GlobalRouter(spec, **router_kw).route(design)

@@ -4,8 +4,8 @@ Capacities are expressed in *tracks per tile boundary*.  Routing itself
 operates on the horizontal/vertical **aggregates** (the resolution at
 which the 2012-era contest routers and congestion estimators work), but
 the spec can optionally carry the per-metal-layer breakdown
-(:class:`LayerSpec`), which the layer-spreading report and the ``.route``
-writer use.  Macros and routing blockages reduce capacity locally via
+(:class:`LayerSpec`), which the ``.route`` writer uses.  Macros and
+routing blockages reduce capacity locally via
 :meth:`RoutingSpec.block_rect`.
 """
 

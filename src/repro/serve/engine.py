@@ -31,6 +31,7 @@ refunded), then ``SIGKILL`` after a grace period.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing as mp
 import os
 import signal
@@ -39,6 +40,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from repro.obs import get_logger
+from repro.obs.log import ROOT_LOGGER_NAME
 from repro.serve.store import JobStore, JobStoreError
 from repro.serve.worker import worker_loop
 
@@ -83,6 +85,10 @@ class ServeSettings:
     def worker_settings(self, parent_pid: int) -> dict:
         out = asdict(self)
         out["parent_pid"] = parent_pid
+        # A spawned worker starts with logging unconfigured; it copies
+        # this process's ``repro`` logging setup (None: none installed).
+        root = logging.getLogger(ROOT_LOGGER_NAME)
+        out["log_level"] = root.level if root.handlers else None
         return out
 
 
@@ -112,8 +118,12 @@ class WorkerSupervisor:
         self.root = str(root)
         self.settings = settings or ServeSettings()
         self.store = JobStore(self.root)
-        methods = mp.get_all_start_methods()
-        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        # Workers start with ``spawn``, never ``fork``: respawns run on
+        # the monitor thread while other threads (HTTP handlers, pollers)
+        # use SQLite, and a child forked while one of them holds an
+        # SQLite mutex hangs in its first connect.  ``spawn`` also keeps
+        # this process the workers' parent, as their orphan checks need.
+        self._ctx = mp.get_context("spawn")
         self._procs: list = []
         self._monitor: threading.Thread | None = None
         self._stop = threading.Event()

@@ -40,7 +40,14 @@ import threading
 import time
 from dataclasses import fields, is_dataclass
 
-from repro.obs import CallbackSink, JsonlStreamSink, Tracer, get_logger, use_tracer
+from repro.obs import (
+    CallbackSink,
+    JsonlStreamSink,
+    Tracer,
+    configure_logging,
+    get_logger,
+    use_tracer,
+)
 from repro.resilience import DesignValidationError
 from repro.resilience.checkpoint import has_checkpoint
 from repro.resilience.faults import FaultPlan, check_fault, install_plan, reset_plan
@@ -198,6 +205,10 @@ def _install_signal_handlers(state: _WorkerState) -> None:
 
     signal.signal(signal.SIGUSR1, on_cancel)
     signal.signal(signal.SIGTERM, on_term)
+    # Ctrl-C reaches the whole process group, workers included; only
+    # the supervisor decides when a worker stops (SIGTERM on close,
+    # after a drain), so in-flight jobs are not cut short.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 class _BeatThread(threading.Thread):
@@ -383,6 +394,8 @@ def run_job(store: JobStore, record: dict, *, settings: dict,
 
 def worker_loop(root: str, worker_id: int, settings: dict) -> None:
     """Entry point of one serve worker process."""
+    if settings.get("log_level") is not None:
+        configure_logging(settings["log_level"])
     store = JobStore(root)
     state = _WorkerState()
     _install_signal_handlers(state)

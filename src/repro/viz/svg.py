@@ -12,7 +12,6 @@ _KIND_STYLE = {
     NodeKind.FIXED: ("#7f7f7f", 0.9),
     NodeKind.TERMINAL: ("#333333", 1.0),
     NodeKind.TERMINAL_NI: ("#333333", 1.0),
-    NodeKind.FILLER: ("#dddddd", 0.4),
 }
 
 

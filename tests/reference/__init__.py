@@ -8,8 +8,8 @@ and maze A*) was first written as a straightforward loop.  Those
 originals live here, bodies unchanged, as in-process oracles: the
 optimized code must reproduce them bit for bit.
 
-Kernel tests call a twin directly.  Stage tests and the perf-smoke
-harnesses run a whole stage on the twins through :func:`use_reference`,
+Kernel tests call a twin directly.  Stage tests, on small and on suite
+designs, run a whole stage on the twins through :func:`use_reference`,
 which swaps each twin in for the name its stage looks up, restores the
 originals on exit, and counts calls per twin::
 

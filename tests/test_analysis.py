@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    displacement_stats,
-    net_length_stats,
-    quality_summary,
-    utilization_profile,
-)
+from repro.analysis import displacement_stats, net_length_stats
 from repro.benchgen import BenchmarkSpec, make_benchmark
 from repro.db import Design, Net, Node, Pin
 from repro.geometry import Rect
@@ -61,37 +56,3 @@ class TestDisplacement:
 
     def test_empty_reference(self, design):
         assert displacement_stats(design, {}) == {"count": 0}
-
-
-class TestUtilizationProfile:
-    def test_shape_and_range(self, design):
-        prof = utilization_profile(design, bands=8)
-        assert prof.shape == (8,)
-        assert (prof >= 0).all()
-
-    def test_axis_validation(self, design):
-        with pytest.raises(ValueError):
-            utilization_profile(design, axis="z")
-
-    def test_concentration_detected(self):
-        d = Design("c", core=Rect(0, 0, 10, 10))
-        for i in range(5):
-            d.add_node(Node(f"c{i}", 1, 1, x=float(i), y=9.0))
-        prof = utilization_profile(d, bands=10)
-        assert prof[9] > prof[0]
-
-
-class TestSummary:
-    def test_basic(self, design):
-        s = quality_summary(design)
-        assert s.hpwl == pytest.approx(design.hpwl())
-        assert s.rc is None
-        row = s.as_row()
-        assert "HPWL" in row and "overflow" in row
-
-    def test_with_route_and_timing(self, design):
-        s = quality_summary(design, route=True, timing=True)
-        assert s.rc is not None and s.rc >= 0
-        assert s.longest_path is not None and s.longest_path > 0
-        row = s.as_row()
-        assert "RC" in row and "longest_path" in row

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.benchgen import (
-    BenchmarkSpec,
-    SUITE,
-    make_benchmark,
-    make_suite_design,
-    suite_specs,
-)
+from repro.benchgen import BenchmarkSpec, SUITE, make_benchmark, make_suite_design
 from repro.benchgen.rent import (
     assign_cells_to_leaves,
     leaf_module_path,
@@ -170,10 +164,6 @@ class TestGenerator:
 class TestSuite:
     def test_suite_names(self):
         assert sorted(SUITE) == ["rh01", "rh02", "rh03", "rh04", "rh05", "rh06"]
-
-    def test_suite_specs_order(self):
-        specs = suite_specs(["rh02", "rh01"])
-        assert [s.name for s in specs] == ["rh02", "rh01"]
 
     def test_make_suite_design_small(self):
         d = make_suite_design("rh01")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.db import Design, Net, Node, NodeKind, Pin, Region, Row
-from repro.geometry import Orientation, Rect
+from repro.geometry import Orientation, Rect, transform_offset
 
 
 def small_design():
@@ -130,6 +130,20 @@ class TestPinArrays:
         arr = d.pin_arrays()
         # pin on node a had dx=1; S negates it
         assert arr.pin_dx[0] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("before", list(Orientation))
+    @pytest.mark.parametrize("after", list(Orientation))
+    def test_reorient_maps_n_frame_offsets(self, before, after):
+        """Offsets follow the new orientation alone, not the one left."""
+        d = Design("t", core=Rect(0, 0, 100, 100))
+        m = d.add_node(Node("m", 6, 4, kind=NodeKind.MACRO, x=40, y=40))
+        c = d.add_node(Node("c", 1, 1, x=10, y=10))
+        d.add_net(Net("n", pins=[Pin(node=m.index, dx=2.0, dy=-1.5), Pin(node=c.index)]))
+        d.set_orientation(m, before)
+        d.pin_arrays()
+        d.set_orientation(m, after)
+        arr = d.pin_arrays()
+        assert (arr.pin_dx[0], arr.pin_dy[0]) == transform_offset(2.0, -1.5, after)
 
     def test_pin_positions(self):
         d = small_design()

@@ -18,7 +18,7 @@ from repro.geometry import Orientation, Point, Rect
 
 
 class TestNodeKind:
-    @pytest.mark.parametrize("kind", [NodeKind.CELL, NodeKind.MACRO, NodeKind.FILLER])
+    @pytest.mark.parametrize("kind", [NodeKind.CELL, NodeKind.MACRO])
     def test_movable_kinds(self, kind):
         assert kind.is_movable and not kind.is_fixed
 

@@ -6,24 +6,48 @@ the CSR node→net/node→pin incidence, incremental HPWL deltas, batched
 move scoring, optimal regions, the array-based Tetris/Abacus legalizers,
 the legality audit, congestion spreading, and the end-to-end legalize+DP
 pipeline.  Kernel tests call the twin directly; the pipeline tests run
-under ``use_reference()``.  ``benchmarks/bench_dp_perf.py`` asserts the
-same on the suite designs; these tests keep the guarantee cheap enough
-to run on every push.
+under ``use_reference()``, on small generated designs and on suite
+designs (rh02 on every push, rh06 under the ``nightly`` marker), whose
+quality metrics must also stay within tolerance of the values committed
+in :data:`SUITE_QUALITY`.
 """
 
 import numpy as np
 import pytest
 
-from repro.benchgen import BenchmarkSpec, make_benchmark
+from repro.benchgen import BenchmarkSpec, make_benchmark, make_suite_design
 from repro.db import Design, Net, Node, NodeKind, Pin, Row
 from repro.dp import DetailedPlacer, DPConfig, IncrementalHPWL
 from repro.dp.swap import _SlotIndex
 from repro.gp import initial_placement
 from repro.legal import Legalizer, SubRowMap, check_legal, tetris_legalize
 from repro.legal.abacus import abacus_refine
+from tests.quality import assert_quality
 from tests.reference import LEGAL_DP_TWINS, use_reference
 from tests.reference.dp import ReferenceIncrementalHPWL, ReferenceSlotIndex
 from tests.reference.legal import _check_legal_reference, _refine_reference
+
+
+#: Legalize + ``DPConfig()`` quality per suite design, from
+#: ``initial_placement(seed=3)``.
+SUITE_QUALITY = {
+    "rh02": {
+        "hpwl": 86071.53245612321,
+        "dp_improvement": 0.12460018619751724,
+        "dp_accepted": 3095,
+        "dp_pass_count": 9,
+        "legal_ok": 1,
+        "max_displacement": 57.13031206229788,
+    },
+    "rh06": {
+        "hpwl": 1135147.4025710304,
+        "dp_improvement": 0.13722558375927887,
+        "dp_accepted": 21158,
+        "dp_pass_count": 9,
+        "legal_ok": 1,
+        "max_displacement": 133.30395948009723,
+    },
+}
 
 
 def bench(seed=11, cells=200, macros=2, **kw):
@@ -263,24 +287,40 @@ class TestPipelineEquivalence:
         [
             {"seed": 11, "cells": 220, "macros": 2},
             {"seed": 5, "cells": 160, "macros": 2, "num_fences": 2},
+            pytest.param("rh02", id="rh02"),
+            pytest.param("rh06", id="rh06", marks=pytest.mark.nightly),
         ],
     )
     def test_legalize_plus_dp_bitwise(self, kw):
         def legalize_and_place():
-            d = bench(**kw)
+            d = make_suite_design(kw) if isinstance(kw, str) else bench(**kw)
             initial_placement(d, seed=3)
             result = Legalizer().legalize(d)
             report = DetailedPlacer(DPConfig()).run(d, result.submap)
-            return (
+            state = (
                 np.array([n.x for n in d.nodes]),
                 np.array([n.y for n in d.nodes]),
                 report.passes,
             )
+            return state, result, report, d
 
-        states = {False: legalize_and_place()}
+        opt, result, report, design = legalize_and_place()
         with use_reference() as calls:
-            states[True] = legalize_and_place()
+            ref, _, _, _ = legalize_and_place()
         assert [t for t in LEGAL_DP_TWINS if not calls[t]] == []
-        assert np.array_equal(states[False][0], states[True][0])
-        assert np.array_equal(states[False][1], states[True][1])
-        assert states[False][2] == states[True][2]
+        assert np.array_equal(opt[0], ref[0])
+        assert np.array_equal(opt[1], ref[1])
+        assert opt[2] == ref[2]
+        if isinstance(kw, str):
+            assert not (report.budget_exhausted or not result.ok), (
+                "a resilience fallback fired"
+            )
+            fresh = {
+                "hpwl": design.hpwl(),
+                "dp_improvement": report.improvement,
+                "dp_accepted": sum(p[1] for p in report.passes),
+                "dp_pass_count": len(report.passes),
+                "legal_ok": int(result.ok),
+                "max_displacement": result.max_displacement,
+            }
+            assert_quality(fresh, SUITE_QUALITY[kw])

@@ -6,15 +6,16 @@ compaction, WA/LSE wirelength values and gradients (including the
 line-search value/gradient split), bell density values and gradients
 (small and large kernels, fixed obstacles, fences), rasterization, full
 CG trajectories, and end-to-end placements.  Kernel tests call the twin
-directly; the end-to-end tests run the placer under ``use_reference()``.
-``benchmarks/bench_gp_perf.py`` asserts the same on the suite designs;
-these tests keep the guarantee cheap enough to run on every push.
+directly; the end-to-end tests run the placer under ``use_reference()``,
+on small generated designs and on suite designs (rh02 on every push,
+rh04 under the ``nightly`` marker), whose quality metrics must also stay
+within tolerance of the values committed in :data:`SUITE_QUALITY`.
 """
 
 import numpy as np
 import pytest
 
-from repro.benchgen import BenchmarkSpec, make_benchmark
+from repro.benchgen import BenchmarkSpec, make_benchmark, make_suite_design
 from repro.db import Design, NodeKind
 from repro.density.bell import BellDensity
 from repro.geometry import Rect
@@ -22,6 +23,7 @@ from repro.gp import GPConfig, GlobalPlacer, optimize_macro_orientations
 from repro.grids import BinGrid
 from repro.optim import minimize_cg
 from repro.wirelength.smooth import compaction_for, make_model
+from tests.quality import assert_quality
 from tests.reference import GP_TWINS, use_reference
 from tests.reference.gp import (
     ReferenceBellDensity,
@@ -32,6 +34,22 @@ from tests.reference.gp import (
     pin_arrays_reference,
     rasterize_rects_reference,
 )
+
+
+#: ``GPConfig()`` quality per suite design (``hpwl`` is ``design.hpwl()``
+#: after placement).
+SUITE_QUALITY = {
+    "rh02": {
+        "hpwl": 40523.73983530458,
+        "overflow": 0.1523244339110248,
+        "gp_iterations": 40,
+    },
+    "rh04": {
+        "hpwl": 150566.48277246804,
+        "overflow": 0.11760649492230033,
+        "gp_iterations": 40,
+    },
+}
 
 
 def bench(seed=11, cells=200, macros=2, **kw):
@@ -299,18 +317,30 @@ class TestEndToEndEquivalence:
             ({"seed": 11, "cells": 220, "macros": 4}, {}),
             ({"seed": 5, "cells": 160, "macros": 3, "num_fences": 2}, {}),
             ({"seed": 7, "cells": 180, "macros": 2}, {"wirelength_model": "lse"}),
+            pytest.param("rh02", {}, id="rh02"),
+            pytest.param("rh04", {}, id="rh04", marks=pytest.mark.nightly),
         ],
     )
     def test_final_placements_bitwise(self, kw, cfg_kw):
-        results = {}
-        d = bench(**kw)
-        GlobalPlacer(GPConfig(**cfg_kw)).place(d)
-        results[False] = positions(d)
-        d = bench(**kw)
+        def place():
+            d = make_suite_design(kw) if isinstance(kw, str) else bench(**kw)
+            report = GlobalPlacer(GPConfig(**cfg_kw)).place(d)
+            return positions(d), report, d
+
+        opt, report, design = place()
         with use_reference() as calls:
-            GlobalPlacer(GPConfig(**cfg_kw)).place(d)
-        results[True] = positions(d)
+            ref, _, _ = place()
         assert [t for t in GP_TWINS if not calls[t]] == []
-        assert np.array_equal(results[False][0], results[True][0])
-        assert np.array_equal(results[False][1], results[True][1])
-        assert results[False][2] == results[True][2]
+        assert np.array_equal(opt[0], ref[0])
+        assert np.array_equal(opt[1], ref[1])
+        assert opt[2] == ref[2]
+        if isinstance(kw, str):
+            assert not (
+                report.guard_rollbacks or report.guard_exhausted or report.budget_exhausted
+            ), "a resilience fallback fired"
+            fresh = {
+                "hpwl": design.hpwl(),
+                "overflow": report.final_overflow,
+                "gp_iterations": len(report.iterations),
+            }
+            assert_quality(fresh, SUITE_QUALITY[kw])

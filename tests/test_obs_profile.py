@@ -118,15 +118,12 @@ class TestSamplingProfiler:
         )
         assert total_share <= 100.5
 
-    def test_as_record_shape(self):
+    def test_wall_time_and_top_rows(self):
         prof = SamplingProfiler(interval=0.001)
         with prof:
             time.sleep(0.02)
-        rec = prof.as_record(top=3)
-        assert rec["interval_s"] == 0.001
-        assert rec["samples"] == prof.samples
-        assert rec["wall_s"] > 0
-        assert len(rec["top"]) <= 3
+        assert prof.wall_s > 0
+        assert len(prof.report(top=3)) <= 3
 
     def test_summary_appends_profile_table(self):
         tracer = Tracer()

@@ -32,6 +32,7 @@ from repro.obs.schema import (
     build_run_schema,
     build_trace_schema,
 )
+from tests.quality import assert_quality
 
 
 def _record(run_id="rh01-20260807-120000-abc123", design="rh01", *,
@@ -222,7 +223,7 @@ class TestDiffRuns:
         assert row["rel"] == "+10.00%"
 
     def test_improvement_also_exceeds_band(self):
-        # Tolerances are symmetric drift bands (check_regression
+        # Tolerances are symmetric drift bands (exceeds_tolerance
         # semantics): a 10% improvement is still flagged for attention.
         a = _record("a-1-aaaaaa")
         b = _record("b-1-bbbbbb",
@@ -260,6 +261,27 @@ class TestDiffRuns:
         assert row["legal"] == "yes"
         assert row["time_s"] == pytest.approx(2.5)
         assert row["rev"] == "a" * 10
+
+
+class TestAssertQuality:
+    """The suite-design gate of the stage tests applies TOLERANCES too."""
+
+    def test_values_in_band_pass(self):
+        assert_quality({"hpwl": 101.9, "dp_accepted": 7},
+                       {"hpwl": 100.0, "dp_accepted": 7})
+
+    def test_drift_names_metric_and_prints_fresh_values(self):
+        with pytest.raises(AssertionError) as err:
+            assert_quality({"hpwl": 100.0, "dp_accepted": 8},
+                           {"hpwl": 100.0, "dp_accepted": 7})
+        assert "['dp_accepted']" in str(err.value)
+        assert "'dp_accepted': 8" in str(err.value)
+
+    @pytest.mark.parametrize("fresh", [{"hpwl": 100.0},
+                                       {"hpwl": 100.0, "vias": 3, "rc": 1.0}])
+    def test_changed_metric_set_fails(self, fresh):
+        with pytest.raises(AssertionError):
+            assert_quality(fresh, {"hpwl": 100.0, "vias": 3})
 
 
 class TestRunsCli:

@@ -1,9 +1,15 @@
 """Tests for the projected conjugate-gradient solver."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.optim import minimize_cg
+import repro
+from repro.optim import blocked_dot, minimize_cg
+from repro.optim.cg import DOT_CHUNK
 
 
 def quadratic(center, scale=1.0):
@@ -110,3 +116,56 @@ class TestEdgeCases:
         f = quadratic([1.0])
         res = minimize_cg(f, np.zeros(1), max_iter=10, step_init=0.5)
         assert res.trajectory == []
+
+
+# One 60-iteration CG on 12,000 variables, past the 10,000 elements at
+# which OpenBLAS splits a dot product across threads; prints x's bytes.
+_CG_RUN = """
+import sys
+import numpy as np
+from repro.optim import minimize_cg
+
+rng = np.random.default_rng(0)
+a = rng.uniform(0.01, 1.0, 12_000)
+b = rng.normal(size=12_000)
+res = minimize_cg(
+    lambda x: (0.5 * float(np.sum(a * x * x)) - float(np.sum(b * x)), a * x - b),
+    np.zeros(12_000), max_iter=60, rel_tol=0.0,
+)
+sys.stdout.write(res.x.tobytes().hex())
+"""
+
+
+class TestBlasThreadCount:
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs",
+    )
+    def test_cg_bits_equal_at_one_and_two_threads(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+
+        def run(threads: int) -> str:
+            env = dict(os.environ, PYTHONPATH=src)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = str(threads)
+            return subprocess.run(
+                [sys.executable, "-c", _CG_RUN],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+
+        assert run(1) == run(2)
+
+    @pytest.mark.parametrize("n", [0, 1, 4_000, DOT_CHUNK])
+    def test_short_vectors_keep_np_dot_bits(self, n):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        assert blocked_dot(a, b) == float(np.dot(a, b))
+
+    @pytest.mark.parametrize("n", [DOT_CHUNK + 1, 20_000])
+    def test_blocked_dot_sums_chunks_in_order(self, n):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        total = 0.0
+        for lo in range(0, n, 8192):
+            total += float(np.dot(a[lo:lo + 8192], b[lo:lo + 8192]))
+        assert blocked_dot(a, b) == total

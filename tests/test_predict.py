@@ -1,5 +1,11 @@
 """Tests for the learned congestion predictor (repro.predict) and the
-hybrid GP estimator built on it."""
+hybrid GP estimator built on it.
+
+:class:`TestHybridOnSuite` places rh04 with the router and the hybrid
+estimator under a model trained from scratch, and holds the round
+counts, fallbacks, drift, validation MSE and hybrid-versus-router
+quality deltas to the values committed in :data:`SUITE_QUALITY`.
+"""
 
 import json
 import os
@@ -7,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.benchgen import BenchmarkSpec, make_benchmark
+from repro.benchgen import BenchmarkSpec, make_benchmark, make_suite_design
 from repro.gp.inflation import CongestionInflator
 from repro.gp.initial import initial_placement
 from repro.predict import (
@@ -29,6 +35,27 @@ from repro.predict.model import (
 )
 from repro.predict.train import collect_dataset
 from repro.resilience.faults import inject
+from repro.route.steiner import clear_decompose_cache
+from tests.quality import assert_quality
+
+#: ``GPConfig(congestion_estimator="hybrid")`` quality per suite design,
+#: with a model trained on ``training_specs(3, 0)`` at seed 0; the deltas
+#: are hybrid minus router.
+SUITE_QUALITY = {
+    "rh04": {
+        "hpwl": 150461.6290091662,
+        "overflow": 0.10756727384036205,
+        "gp_iterations": 40,
+        "predict_router_rounds": 5,
+        "predict_predictor_rounds": 15,
+        "predict_fallbacks": 0,
+        "predict_final_drift": 0.33755279721499465,
+        "predict_val_mse": 0.11555089878679196,
+        "predict_train_samples": 9216,
+        "predict_hpwl_rel_delta": -0.004203353512612207,
+        "predict_overflow_delta": 0.004602906863051329,
+    },
+}
 
 
 def small_spec(seed=42, cells=400):
@@ -371,3 +398,43 @@ class TestCalibrationSharing:
         restored = FlowCheckpoint.from_dict(data)
         assert restored.calibration == {}
         restored.apply(placed_design())  # no error, nothing restored
+
+
+class TestHybridOnSuite:
+    def test_rh04_router_versus_hybrid(self, tmp_path):
+        from repro.gp import GlobalPlacer, GPConfig
+
+        artifact = train_predictor(training_specs(3, 0), seed=0)
+        model_path = str(tmp_path / "model.json")
+        save_artifact(artifact, model_path)
+        reports = {}
+        for estimator in ("router", "hybrid"):
+            # Each leg starts from an empty decomposition memo, as a
+            # fresh process would.
+            clear_decompose_cache()
+            cfg = GPConfig(
+                congestion_estimator=estimator,
+                predict_model=model_path if estimator == "hybrid" else None,
+            )
+            reports[estimator] = GlobalPlacer(cfg).place(make_suite_design("rh04"))
+        assert not any(
+            r.guard_rollbacks or r.guard_exhausted or r.budget_exhausted
+            for r in reports.values()
+        ), "a resilience fallback fired"
+        router, hybrid = reports["router"], reports["hybrid"]
+        stats = hybrid.inflation
+        fresh = {
+            "hpwl": hybrid.final_hpwl,
+            "overflow": hybrid.final_overflow,
+            "gp_iterations": len(hybrid.iterations),
+            "predict_router_rounds": stats["router_rounds"],
+            "predict_predictor_rounds": stats["predictor_rounds"],
+            "predict_fallbacks": 0 if stats["fallback_round"] is None else 1,
+            "predict_final_drift": stats["final_drift"],
+            "predict_val_mse": artifact["metrics"][f"val_mse_{artifact['primary']}"],
+            "predict_train_samples": artifact["provenance"]["num_samples"],
+            "predict_hpwl_rel_delta": (hybrid.final_hpwl - router.final_hpwl)
+            / router.final_hpwl,
+            "predict_overflow_delta": hybrid.final_overflow - router.final_overflow,
+        }
+        assert_quality(fresh, SUITE_QUALITY["rh04"])

@@ -1,16 +1,11 @@
-"""Tests for the per-layer routing model and spreading report."""
+"""Tests for the per-layer routing model."""
 
 import numpy as np
 import pytest
 
 from repro.db import Design, Net, Node, Pin
 from repro.geometry import Rect
-from repro.route import (
-    GlobalRouter,
-    LayerSpec,
-    RoutingSpec,
-    spread_over_layers,
-)
+from repro.route import LayerSpec, RoutingSpec
 
 M_STACK = [
     LayerSpec("metal2", "H", 4.0),
@@ -48,46 +43,6 @@ class TestLayerSpec:
     def test_copy_keeps_layers(self):
         spec = RoutingSpec.from_layers(Rect(0, 0, 8, 8), 4, 4, M_STACK)
         assert spec.copy().layers == spec.layers
-
-
-class TestSpreading:
-    def test_wirelength_conserved(self):
-        d = routed_design()
-        rr = GlobalRouter(d.routing).route(d)
-        usage = spread_over_layers(rr.graph)
-        h_total = sum(u.wirelength for u in usage if u.layer.direction == "H")
-        v_total = sum(u.wirelength for u in usage if u.layer.direction == "V")
-        assert h_total == pytest.approx(float(rr.graph.use_e.sum()))
-        assert v_total == pytest.approx(float(rr.graph.use_n.sum()))
-
-    def test_share_proportional_to_capacity(self):
-        d = routed_design()
-        rr = GlobalRouter(d.routing).route(d)
-        usage = {u.layer.name: u for u in spread_over_layers(rr.graph)}
-        # metal4 has 2x metal2's capacity -> 2x the assigned length
-        assert usage["metal4"].wirelength == pytest.approx(
-            2 * usage["metal2"].wirelength
-        )
-
-    def test_peak_utilization_equal_across_same_direction(self):
-        """Proportional spreading preserves utilization per direction."""
-        d = routed_design()
-        rr = GlobalRouter(d.routing).route(d)
-        usage = [u for u in spread_over_layers(rr.graph) if u.layer.direction == "H"]
-        assert usage[0].peak_utilization == pytest.approx(usage[1].peak_utilization)
-
-    def test_no_layers_raises(self):
-        d = routed_design()
-        d.routing = RoutingSpec.uniform(d.core, 8, 8)
-        rr = GlobalRouter(d.routing).route(d)
-        with pytest.raises(ValueError):
-            spread_over_layers(rr.graph)
-
-    def test_as_row(self):
-        d = routed_design()
-        rr = GlobalRouter(d.routing).route(d)
-        row = spread_over_layers(rr.graph)[0].as_row()
-        assert {"layer", "dir", "capacity", "wirelength", "peak_util"} <= set(row)
 
 
 class TestLayeredIO:

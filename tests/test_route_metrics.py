@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Rect
-from repro.route import GridGraph, RoutingSpec, ace, congestion_metrics, rc_score, scaled_hpwl
+from repro.route import GridGraph, RoutingSpec, ace, congestion_metrics, scaled_hpwl
 
 
 class TestACE:
@@ -33,11 +33,17 @@ class TestACE:
 
 class TestRC:
     def test_rc_is_mean_of_levels(self):
-        c = np.full(1000, 0.7)
-        assert rc_score(c) == pytest.approx(0.7)
+        g = GridGraph(RoutingSpec.uniform(Rect(0, 0, 8, 8), 4, 4, hcap=2, vcap=2))
+        for line in range(4):
+            g.add_horizontal_run(line, 0, 3)
+            g.add_vertical_run(line, 0, 3)
+        # Every edge at half capacity: each ACE level, and so RC, is 0.5.
+        assert congestion_metrics(g).rc == pytest.approx(0.5)
 
     def test_rc_empty(self):
-        assert rc_score(np.zeros(0)) == 0.0
+        g = GridGraph(RoutingSpec.uniform(Rect(0, 0, 8, 8), 1, 1))
+        assert g.edge_congestion().size == 0
+        assert congestion_metrics(g).rc == 0.0
 
 
 class TestScaledHPWL:

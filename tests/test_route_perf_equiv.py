@@ -5,13 +5,16 @@ decomposition, CSR-incidence offender scan, diff-array commits,
 incremental cost refresh, array-based maze A*, cached ``pull_centers``)
 is held against the original implementation (its golden twin in
 ``tests/reference/``) on the same inputs and must match *exactly* — same
-arrays, same tie-breaking, same metrics.
+arrays, same tie-breaking, same metrics.  The full-route test also runs
+suite designs (rh02 on every push, rh06 under the ``nightly`` marker),
+whose metrics must stay within tolerance of the values committed in
+:data:`SUITE_QUALITY`.
 """
 
 import numpy as np
 import pytest
 
-from repro.benchgen import BenchmarkSpec, make_benchmark
+from repro.benchgen import BenchmarkSpec, make_benchmark, make_suite_design
 from repro.baselines.random_place import random_placement
 from repro.db import Design, Net, Node, Pin
 from repro.geometry import Orientation, Rect
@@ -24,8 +27,26 @@ from repro.route.steiner import (
     decompose_cache_size,
     decompose_net,
 )
+from tests.quality import assert_quality
 from tests.reference import ROUTE_TWINS, use_reference
 from tests.reference.route import _commit_all_reference, commit_all, maze_route_reference
+
+
+#: Routed metrics per suite design, from ``random_placement(seed=7)``.
+SUITE_QUALITY = {
+    "rh02": {
+        "rc": 4.852401972927887,
+        "total_overflow": 15079.708718650252,
+        "peak_congestion": 6.092059629344524,
+        "vias": 14901,
+    },
+    "rh06": {
+        "rc": 3.2462761207715163,
+        "total_overflow": 90492.35858869649,
+        "peak_congestion": 4.135649296939615,
+        "vias": 81269,
+    },
+}
 
 
 def small_routed_design(seed=3, cells=260):
@@ -203,22 +224,45 @@ class TestBookkeepingEquivalence:
 
 
 class TestFullRouteEquivalence:
-    @pytest.mark.parametrize("seed", [2, 8])
-    def test_reference_and_optimized_identical(self, seed):
-        design = small_routed_design(seed=seed, cells=300)
+    @pytest.mark.parametrize(
+        "source",
+        [
+            2,
+            8,
+            pytest.param("rh02", id="rh02"),
+            pytest.param("rh06", id="rh06", marks=pytest.mark.nightly),
+        ],
+    )
+    def test_reference_and_optimized_identical(self, source):
+        if isinstance(source, str):
+            design = make_suite_design(source)
+            random_placement(design, seed=7)
+        else:
+            design = small_routed_design(seed=source, cells=300)
         clear_decompose_cache()
-        res_opt = GlobalRouter(design.routing).route(design)
+        router = GlobalRouter(design.routing)
+        cold = router.route(design)
+        warm = router.route(design)
         with use_reference() as calls:
-            res_ref = GlobalRouter(design.routing).route(design)
+            ref = GlobalRouter(design.routing).route(design)
         assert [t for t in ROUTE_TWINS if not calls[t]] == []
-        np.testing.assert_array_equal(res_opt.graph.use_e, res_ref.graph.use_e)
-        np.testing.assert_array_equal(res_opt.graph.use_n, res_ref.graph.use_n)
-        assert res_opt.metrics.rc == res_ref.metrics.rc
-        assert res_opt.metrics.total_overflow == res_ref.metrics.total_overflow
-        assert res_opt.metrics.peak_congestion == res_ref.metrics.peak_congestion
-        assert res_opt.metrics.vias == res_ref.metrics.vias
-        assert res_opt.num_segments == res_ref.num_segments
-        assert res_opt.overflow_per_round == res_ref.overflow_per_round
+        for res in (cold, warm):
+            np.testing.assert_array_equal(res.graph.use_e, ref.graph.use_e)
+            np.testing.assert_array_equal(res.graph.use_n, ref.graph.use_n)
+            assert res.metrics.rc == ref.metrics.rc
+            assert res.metrics.total_overflow == ref.metrics.total_overflow
+            assert res.metrics.peak_congestion == ref.metrics.peak_congestion
+            assert res.metrics.vias == ref.metrics.vias
+            assert res.num_segments == ref.num_segments
+            assert res.overflow_per_round == ref.overflow_per_round
+        if isinstance(source, str):
+            fresh = {
+                "rc": ref.metrics.rc,
+                "total_overflow": ref.metrics.total_overflow,
+                "peak_congestion": ref.metrics.peak_congestion,
+                "vias": ref.metrics.vias,
+            }
+            assert_quality(fresh, SUITE_QUALITY[source])
 
 
 class TestCentersCache:

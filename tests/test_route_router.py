@@ -6,7 +6,7 @@ import pytest
 from repro.db import Design, Net, Node, Pin
 from repro.geometry import Rect
 from repro.grids import BinGrid
-from repro.route import GlobalRouter, GridGraph, RoutingSpec, route_design
+from repro.route import GlobalRouter, GridGraph, RoutingSpec
 
 
 def design_with_nets(net_specs, core=16.0, cap=4.0, tiles=8):
@@ -115,17 +115,6 @@ class TestRouter:
         r0 = GlobalRouter(d.routing, sweeps=1, z_refine=False, maze_rounds=0).route(d)
         r1 = GlobalRouter(d.routing, sweeps=1, maze_rounds=4).route(d)
         assert r1.metrics.total_overflow <= r0.metrics.total_overflow
-
-    def test_route_design_helper(self):
-        d = design_with_nets([[(1, 1), (9, 9)]])
-        rr = route_design(d)
-        assert rr.num_segments == 1
-
-    def test_route_design_requires_spec(self):
-        d = design_with_nets([[(1, 1), (9, 9)]])
-        d.routing = None
-        with pytest.raises(ValueError):
-            route_design(d)
 
     def test_route_needs_input(self):
         spec = RoutingSpec.uniform(Rect(0, 0, 8, 8), 4, 4)

@@ -16,6 +16,7 @@ import glob
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -483,6 +484,73 @@ class TestServeEngine:
             make_benchmark(BenchmarkSpec(**spec)), route=False
         )
         assert final["result"]["hpwl_final"] == ref.hpwl_final
+
+    def test_sigint_leaves_worker_to_the_supervisor(self, tmp_path):
+        """Ctrl-C on ``repro serve`` reaches its workers too (one process
+        group).  A worker ignores it, so the job in flight still
+        finishes on its first attempt."""
+        store = JobStore(tmp_path / "serve")
+        job_id = store.submit(
+            {"spec": {"name": "sigint", "num_cells": 300, "seed": 9}},
+            options={"route": False, "config": {"gp.max_outer_iterations": 5}},
+        )["job_id"]
+        with WorkerSupervisor(tmp_path / "serve", fast_settings()) as sup:
+            running = wait_for(
+                lambda: (r := store.get(job_id))["state"] == "running" and r
+            )
+            os.kill(running["worker"], signal.SIGINT)
+            final = wait_for(
+                lambda: (r := store.get(job_id))["state"] in ("done", "failed")
+                and r,
+                timeout=120,
+            )
+            assert sup.respawns == 0
+        assert final["state"] == "done"
+        assert final["attempts"] == 1
+
+    def test_respawned_workers_start_while_sqlite_is_busy(self, tmp_path):
+        """Respawns happen on the monitor thread while other threads of
+        the supervisor's process use SQLite (HTTP handlers in ``repro
+        serve``).  A worker forked while one of them holds an SQLite
+        mutex would hang in its first connect and never claim; every
+        respawned worker must claim the job within a fixed bound."""
+        root = tmp_path / "serve"
+        store = JobStore(root)
+        # Big enough that no attempt finishes in the ~0.1 s between its
+        # claim and the kill below.
+        job_id = store.submit(
+            {"spec": {"name": "respawn", "num_cells": 2000, "seed": 1}},
+            max_retries=20,
+        )["job_id"]
+        stop = threading.Event()
+        errors = []
+
+        def open_and_close_connections():
+            try:
+                while not stop.is_set():
+                    store.get(job_id)
+            except Exception as exc:  # asserted below
+                errors.append(exc)
+
+        busy = threading.Thread(target=open_and_close_connections, daemon=True)
+        with WorkerSupervisor(root, fast_settings()) as sup:
+            busy.start()
+            try:
+                killed = None
+                for _ in range(11):
+                    claimed = wait_for(
+                        lambda: (r := store.get(job_id))["state"] == "running"
+                        and r["worker"] != killed and r,
+                        timeout=30,
+                    )
+                    killed = claimed["worker"]
+                    os.kill(killed, signal.SIGKILL)
+            finally:
+                stop.set()
+                busy.join(timeout=10)
+            assert not busy.is_alive()
+            assert sup.respawns >= 10
+        assert errors == []
 
     def test_orphaned_jobs_requeued_on_startup(self, tmp_path):
         store = JobStore(tmp_path / "serve")
