@@ -34,8 +34,7 @@ def displacement_stats(design, reference: dict) -> dict:
     """Displacement of every movable node versus ``reference``.
 
     ``reference`` maps node index to ``(x, y)`` (e.g. a snapshot taken
-    before legalization — the shape ``Design.clone_placement`` returns
-    also works, orientation entries are ignored).
+    before legalization); entries past ``(x, y)`` are ignored.
     """
     disps = []
     for node in design.nodes:

@@ -5,7 +5,8 @@ Global placement by alternating two steps:
 1. **Bound-to-bound (B2B) quadratic solve** — each net contributes
    springs from its boundary pins to every other pin with the B2B
    weights, making the quadratic optimum match HPWL at the linearization
-   point (Spindler et al.).  Solved per axis with SciPy sparse CG.
+   point (Spindler et al.).  Solved per axis by conjugate gradients
+   (:func:`repro.optim.solve_cg`).
    Anchor pseudo-springs pull toward the previous spread positions.
 2. **Grid warping spread** — per-axis cumulative-density equalization
    over a bin grid moves cells out of overfull bins (the Kraftwerk-style
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.db import Design
 from repro.gp.initial import initial_placement
 from repro.grids import BinGrid
+from repro.optim import solve_cg
 
 ANCHOR_WEIGHT_INITIAL = 0.01  # pseudo-spring weight toward the last spread
 ANCHOR_WEIGHT_GROWTH = 1.6  # per iteration
@@ -137,8 +138,7 @@ class QuadraticPlacer:
         rhs += anchor_w * target
         lap = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
         lap += sp.diags(diag)
-        solution, _ = spla.cg(lap, rhs, x0=target, rtol=1e-6, maxiter=300)
-        return solution
+        return solve_cg(lap, rhs, target, rtol=1e-6, maxiter=300)
 
     # ------------------------------------------------------------------
     def _spread(self, design, cx, cy, mov):

@@ -1,9 +1,10 @@
 """The placement design database.
 
 ``Design`` is the hub every stage operates on: it owns nodes, nets, rows,
-fence regions and the design hierarchy, and exposes NumPy array views
-(positions, sizes, CSR pin tables) so analytical placement and congestion
-estimation run vectorized.
+fence regions and the design hierarchy.  Node geometry is stored in NumPy
+columns owned by the design, with each ``Node`` a view of its row, and the
+design exposes array views (positions, sizes, CSR pin tables) so analytical
+placement and congestion estimation run vectorized.
 """
 
 from repro.db.node import Node, NodeKind

@@ -11,32 +11,35 @@ specification.  Algorithmic stages interact with it two ways:
   stages (legalization, detailed placement) mutate :class:`Node` objects
   directly.
 
-Positions are authoritative on the :class:`Node` objects; the array
-interface copies out and writes back at stage boundaries, so the two views
-never drift mid-stage.
+Node geometry lives in one table of NumPy columns owned by the design
+(``x``, ``y``, ``width``, ``height``, orientation, kind, region); each
+:class:`Node` is a view of its row, so the object and array interfaces
+read the same storage and nothing needs to be told about a write.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro import wirelength
 from repro.geometry import Orientation, Rect
 from repro.geometry.orientation import _ROTATIONS
-
-# Orientation lookup tables for the vectorized pin transform: enum -> dense
-# code, and per code the (flip, rotation-matrix) pair transform_offset uses.
-_ORIENT_CODE = {orient: code for code, orient in enumerate(Orientation)}
-_ORIENT_XFORM = [
-    (orient.is_flipped, *_ROTATIONS[orient.rotation]) for orient in Orientation
-]
-from repro.obs import get_tracer
-from repro.db.node import Node, NodeKind
+from repro.db.node import (
+    COLUMN_DTYPES, HEIGHT, KIND, KINDS, MOVABLE, ORIENT, REGION, SWAPS, WIDTH, X, Y,
+    Node, NodeKind,
+)
 from repro.db.net import Net, Pin
 from repro.db.rows import Row
 from repro.db.regions import Region
 from repro.db.hierarchy import HierarchyTree
+
+# Per orientation code, the (flip, rotation-matrix) pair transform_offset
+# uses, for the vectorized pin transform.
+_ORIENT_XFORM = [
+    (orient.is_flipped, *_ROTATIONS[orient.rotation]) for orient in Orientation
+]
 
 
 @dataclass
@@ -102,18 +105,16 @@ class Design:
         self._core = core
         self._node_index: dict = {}
         self._net_index: dict = {}
+        # The node table.  Nodes index it through memoryviews, which read
+        # and write Python floats and ints directly; the list is shared
+        # with every added node and updated in place when it grows.
+        self._cols = [memoryview(np.empty(0, dtype)) for dtype in COLUMN_DTYPES]
+        # Bumped by this class's netlist mutators (and netlist_changed).
         self._topology_version = 0
-        self._positions_version = 0
-        self._pin_cache = None
-        self._pin_cache_version = -1
-        # Orientation-only bumps of the topology version: the raw (N-frame)
-        # pin arrays survive them, so re-orienting macros only replays the
-        # offset transform instead of the full per-pin rebuild.
-        self._orient_version = 0
-        self._pin_base = None
-        self._pin_base_struct = -1
-        self._centers_cache = None
-        self._centers_key = (-1, -1)
+        self._pin_base = None  # raw N-frame pin table
+        self._pin_base_version = -1
+        self._pin_cache = None  # PinArrays under _pin_codes
+        self._pin_codes = None
         self._incidence_cache = None
         self._incidence_version = -1
 
@@ -124,14 +125,31 @@ class Design:
         """Register ``node``; names must be unique."""
         if node.name in self._node_index:
             raise ValueError(f"duplicate node name {node.name!r}")
-        node.index = len(self.nodes)
+        row = len(self.nodes)
+        if row == len(self._cols[X]):
+            self._grow()
+        for col, value in zip(self._cols, node._cols):
+            col[row] = value[node._row]
+        node._cols, node._row = self._cols, row
+        node.index = row
         self.nodes.append(node)
-        node._design = self
         self._node_index[node.name] = node.index
         if node.module is not None:
             self.hierarchy.assign_cell(node.index, node.module)
         self._topology_version += 1
         return node
+
+    def _grow(self) -> None:
+        """Double the node table's capacity (amortized O(1) ``add_node``)."""
+        n = len(self.nodes)
+        for k, dtype in enumerate(COLUMN_DTYPES):
+            col = np.empty(max(64, 2 * n), dtype)
+            col[:n] = self._column(k)
+            self._cols[k] = memoryview(col)
+
+    def _column(self, k: int) -> np.ndarray:
+        """Column ``k`` of the node table over the added nodes (a view)."""
+        return np.asarray(self._cols[k])[: len(self.nodes)]
 
     def add_net(self, net: Net) -> Net:
         """Register ``net``; pins must reference existing nodes."""
@@ -189,6 +207,14 @@ class Design:
             self._net_index[net.name] = new_idx
         self._topology_version += 1
         return len(doomed)
+
+    def netlist_changed(self) -> None:
+        """Report an in-place pin edit made without this class's mutators.
+
+        Drops the raw and the oriented pin tables, so the next
+        :meth:`pin_arrays` call rebuilds them in full.
+        """
+        self._topology_version += 1
 
     def add_row(self, row: Row) -> Row:
         row.index = len(self.rows)
@@ -266,38 +292,9 @@ class Design:
     # array interface
     # ------------------------------------------------------------------
     def pull_centers(self):
-        """Centre coordinates of every node as two float64 arrays.
-
-        The arrays are cached and invalidated by node geometry writes
-        (``Node.__setattr__`` notifies the owning design), so repeated
-        pulls between moves — router, estimators, metrics — skip the
-        Python loop.  Callers always receive fresh copies and may mutate
-        them freely.
-        """
-        key = (self._positions_version, self._topology_version)
-        if self._centers_cache is not None and self._centers_key == key:
-            cx, cy = self._centers_cache
-            get_tracer().metrics.counter("design.centers_cache.hits").inc()
-            return cx.copy(), cy.copy()
-        n = len(self.nodes)
-        cx = np.empty(n)
-        cy = np.empty(n)
-        for i, node in enumerate(self.nodes):
-            cx[i] = node.cx
-            cy[i] = node.cy
-        self._centers_cache = (cx, cy)
-        self._centers_key = key
-        get_tracer().metrics.counter("design.centers_cache.misses").inc()
-        return cx.copy(), cy.copy()
-
-    def mark_positions_dirty(self) -> None:
-        """Force the next :meth:`pull_centers` to rebuild its cache.
-
-        Geometry writes through :class:`Node` attributes notify the
-        design automatically; this is the escape hatch for callers that
-        mutate node state in ways the backref cannot see.
-        """
-        self._positions_version += 1
+        """Centre coordinates of every node as two fresh float64 arrays."""
+        w, h = self.placed_sizes()
+        return self._column(X) + w / 2.0, self._column(Y) + h / 2.0
 
     def push_centers(self, cx: np.ndarray, cy: np.ndarray, indices=None) -> None:
         """Write centre coordinates back onto movable nodes.
@@ -305,64 +302,51 @@ class Design:
         Fixed nodes are never moved; ``indices`` restricts the write to a
         subset (positions arrays are still indexed by global node id).
         """
-        it = indices if indices is not None else range(len(self.nodes))
-        for i in it:
-            node = self.nodes[i]
-            if node.is_movable:
-                node.move_center_to(float(cx[i]), float(cy[i]))
+        rows = self.movable_indices()
+        if indices is not None:
+            rows = np.intersect1d(rows, indices)
+        w, h = self.placed_sizes()
+        self._column(X)[rows] = np.asarray(cx, dtype=np.float64)[rows] - w[rows] / 2.0
+        self._column(Y)[rows] = np.asarray(cy, dtype=np.float64)[rows] - h[rows] / 2.0
 
     def placed_sizes(self):
         """Oriented (width, height) arrays of every node."""
-        n = len(self.nodes)
-        w = np.empty(n)
-        h = np.empty(n)
-        for i, node in enumerate(self.nodes):
-            w[i] = node.placed_width
-            h[i] = node.placed_height
-        return w, h
+        swap = np.array(SWAPS)[self._column(ORIENT)]
+        w, h = self._column(WIDTH), self._column(HEIGHT)
+        return np.where(swap, h, w), np.where(swap, w, h)
 
     def movable_mask(self) -> np.ndarray:
-        return np.array([node.is_movable for node in self.nodes], dtype=bool)
-
-    def fixed_mask(self) -> np.ndarray:
-        return ~self.movable_mask()
+        return np.array(MOVABLE)[self._column(KIND)]
 
     def macro_mask(self) -> np.ndarray:
         """Movable macros only."""
-        return np.array(
-            [node.kind is NodeKind.MACRO for node in self.nodes], dtype=bool
-        )
+        return self._column(KIND) == KINDS.index(NodeKind.MACRO)
 
     def region_ids(self) -> np.ndarray:
         """Fence id per node (-1 when unconstrained)."""
-        return np.array(
-            [-1 if node.region is None else node.region for node in self.nodes],
-            dtype=np.int32,
-        )
+        return self._column(REGION).copy()
 
     def movable_indices(self) -> np.ndarray:
         return np.flatnonzero(self.movable_mask())
 
     def pin_arrays(self) -> PinArrays:
-        """The CSR pin view, rebuilt only when topology/orientation changed.
+        """The CSR pin view, checked on every call against what it reads.
 
-        A rebuild keeps the raw N-frame offsets cached and replays the
-        orientation transform vectorized, orientation group by
+        A netlist edit through this class (or :meth:`netlist_changed`)
+        rebuilds the raw N-frame offsets.  An orientation change replays
+        only the orientation transform, vectorized orientation group by
         orientation group, with the same scalar arithmetic as
         :func:`transform_offset` — the arrays are bit-identical to the
         original per-pin loop (a golden twin under ``tests/reference/``).
+        Net weights are re-read from :attr:`nets` on each call; changed
+        weights come back in a new :class:`PinArrays`.
         """
-        if self._pin_cache is not None and self._pin_cache_version == self._topology_version:
-            return self._pin_cache
-        # Orientation bumps leave the structural part untouched.
-        struct = self._topology_version - self._orient_version
-        if self._pin_base is None or self._pin_base_struct != struct:
+        if self._pin_base_version != self._topology_version:
             num_pins = self.num_pins
             pin_node = np.empty(num_pins, dtype=np.int32)
             dx0 = np.empty(num_pins)
             dy0 = np.empty(num_pins)
             net_ptr = np.empty(len(self.nets) + 1, dtype=np.int64)
-            net_weight = np.empty(len(self.nets))
             k = 0
             net_ptr[0] = 0
             for i, net in enumerate(self.nets):
@@ -372,31 +356,35 @@ class Design:
                     dy0[k] = pin.dy
                     k += 1
                 net_ptr[i + 1] = k
-                net_weight[i] = net.weight
-            self._pin_base = (pin_node, dx0, dy0, net_ptr, net_weight)
-            self._pin_base_struct = struct
-        pin_node, dx0, dy0, net_ptr, net_weight = self._pin_base
-        codes = np.fromiter(
-            (_ORIENT_CODE[n.orientation] for n in self.nodes),
-            dtype=np.int8,
-            count=len(self.nodes),
+            self._pin_base = (pin_node, dx0, dy0, net_ptr)
+            self._pin_base_version = self._topology_version
+            self._pin_cache = None
+        pin_node, dx0, dy0, net_ptr = self._pin_base
+        weights = np.fromiter(
+            (net.weight for net in self.nets), np.float64, count=len(self.nets)
         )
-        pcodes = codes[pin_node] if len(pin_node) else codes[:0]
-        pin_dx = np.empty_like(dx0)
-        pin_dy = np.empty_like(dy0)
-        for code, (flip, a, b, c, d) in enumerate(_ORIENT_XFORM):
-            sel = pcodes == code
-            if not sel.any():
-                continue
-            vx = dx0[sel]
-            vy = dy0[sel]
-            if flip:
-                vx = -vx
-            pin_dx[sel] = a * vx + b * vy
-            pin_dy[sel] = c * vx + d * vy
-        self._pin_cache = PinArrays(pin_node, pin_dx, pin_dy, net_ptr, net_weight)
-        self._pin_cache_version = self._topology_version
-        return self._pin_cache
+        codes = self._column(ORIENT)
+        cache = self._pin_cache
+        if cache is None or not np.array_equal(codes, self._pin_codes):
+            pcodes = codes[pin_node]
+            pin_dx = np.empty_like(dx0)
+            pin_dy = np.empty_like(dy0)
+            for code, (flip, a, b, c, d) in enumerate(_ORIENT_XFORM):
+                sel = pcodes == code
+                if not sel.any():
+                    continue
+                vx = dx0[sel]
+                vy = dy0[sel]
+                if flip:
+                    vx = -vx
+                pin_dx[sel] = a * vx + b * vy
+                pin_dy[sel] = c * vx + d * vy
+            cache = PinArrays(pin_node, pin_dx, pin_dy, net_ptr, weights)
+            self._pin_codes = codes.copy()
+        elif not np.array_equal(weights, cache.net_weight):
+            cache = replace(cache, net_weight=weights)
+        self._pin_cache = cache
+        return cache
 
     def node_incidence(self) -> NodeIncidence:
         """CSR node→net / node→pin incidence derived from :meth:`pin_arrays`.
@@ -452,31 +440,17 @@ class Design:
         return self._incidence_cache
 
     def set_orientation(self, node: Node, orient: Orientation) -> None:
-        """Re-orient ``node`` about its centre and invalidate pin caches."""
+        """Re-orient ``node`` about its centre."""
         cx, cy = node.cx, node.cy
         node.orientation = orient
         node.move_center_to(cx, cy)
-        self._topology_version += 1
-        self._orient_version += 1
 
     # ------------------------------------------------------------------
     # metrics & checks
     # ------------------------------------------------------------------
     def hpwl(self) -> float:
         """Exact weighted half-perimeter wirelength of the placement."""
-        arrays = self.pin_arrays()
-        if arrays.num_pins == 0:
-            return 0.0
-        cx, cy = self.pull_centers()
-        px, py = arrays.pin_positions(cx, cy)
-        ptr = arrays.net_ptr
-        nonempty = ptr[1:] > ptr[:-1]
-        if not nonempty.any():
-            return 0.0
-        starts = ptr[:-1][nonempty]
-        wx = np.maximum.reduceat(px, starts) - np.minimum.reduceat(px, starts)
-        wy = np.maximum.reduceat(py, starts) - np.minimum.reduceat(py, starts)
-        return float(np.sum(arrays.net_weight[nonempty] * (wx + wy)))
+        return wirelength.hpwl(self.pin_arrays(), *self.pull_centers())
 
     def movable_area(self) -> float:
         return sum(n.area for n in self.nodes if n.is_movable)
@@ -517,20 +491,6 @@ class Design:
                 problems.append(f"duplicate node name {node.name}")
             seen.add(node.name)
         return problems
-
-    def clone_placement(self) -> dict:
-        """Snapshot of every node's position/orientation, for undo."""
-        return {
-            node.index: (node.x, node.y, node.orientation) for node in self.nodes
-        }
-
-    def restore_placement(self, snapshot: dict) -> None:
-        """Restore a snapshot taken by :meth:`clone_placement`."""
-        for idx, (x, y, orient) in snapshot.items():
-            node = self.nodes[idx]
-            node.x, node.y = x, y
-            node.orientation = orient
-        self._topology_version += 1
 
     def __repr__(self) -> str:
         return (

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from repro.geometry import Orientation, Rect
 
@@ -31,7 +32,48 @@ class NodeKind(Enum):
         return self is not NodeKind.TERMINAL_NI
 
 
-@dataclass
+# The node table: one column per geometry attribute, in this order.
+# Orientation and kind are stored as their index in enum order, the
+# fence region as its id with -1 for none.
+X, Y, WIDTH, HEIGHT, ORIENT, KIND, REGION = range(7)
+COLUMN_DTYPES = (np.float64,) * 4 + (np.int8, np.int8, np.int32)
+ORIENTATIONS = tuple(Orientation)
+KINDS = tuple(NodeKind)
+SWAPS = tuple(o.swaps_dimensions for o in ORIENTATIONS)
+MOVABLE = tuple(k.is_movable for k in KINDS)
+
+
+def _float_column(k: int, doc: str) -> property:
+    def get(node):
+        return node._cols[k][node._row]
+
+    def set(node, value):
+        node._cols[k][node._row] = float(value)
+
+    return property(get, set, doc=doc)
+
+
+def _enum_column(k: int, members: tuple, doc: str) -> property:
+    code = {member: i for i, member in enumerate(members)}
+
+    def get(node):
+        return members[node._cols[k][node._row]]
+
+    def set(node, value):
+        node._cols[k][node._row] = code[value]
+
+    return property(get, set, doc=doc)
+
+
+def _get_region(node):
+    region = node._cols[REGION][node._row]
+    return None if region < 0 else region
+
+
+def _set_region(node, value):
+    node._cols[REGION][node._row] = -1 if value is None else int(value)
+
+
 class Node:
     """A placeable (or fixed) rectangular object.
 
@@ -39,59 +81,67 @@ class Node:
     ``width``/``height`` are the dimensions in the ``N`` orientation.  Use
     :attr:`placed_width`/:attr:`placed_height` for the outline actually
     occupied on the die.
+
+    The geometry attributes are a view of one row of a column table.  A
+    node not yet added to a design owns a one-row table of plain Python
+    values; :meth:`Design.add_node` copies the row into the design's
+    NumPy columns and re-points the node there.
     """
 
-    name: str
-    width: float
-    height: float
-    kind: NodeKind = NodeKind.CELL
-    x: float = 0.0
-    y: float = 0.0
-    orientation: Orientation = Orientation.N
-    region: int | None = None  # fence region id, if constrained
-    module: str | None = None  # hierarchy module path, if any
-    index: int = -1  # position in Design.nodes, set on add
-    pins: list = field(default_factory=list)  # Pin objects, set by Design
+    __slots__ = ("name", "module", "index", "pins", "_cols", "_row")
 
-    # Backref to the owning Design (class attribute, not a dataclass
-    # field), set by ``Design.add_node``.  Geometry writes notify it so
-    # the design's cached array views (``pull_centers``, ``pin_arrays``)
-    # invalidate no matter which code path moved the node.
-    _design = None
+    x = _float_column(X, "Lower-left x of the oriented outline.")
+    y = _float_column(Y, "Lower-left y of the oriented outline.")
+    width = _float_column(WIDTH, "Width in the ``N`` orientation.")
+    height = _float_column(HEIGHT, "Height in the ``N`` orientation.")
+    orientation = _enum_column(ORIENT, ORIENTATIONS, "Placement orientation.")
+    kind = _enum_column(KIND, KINDS, "What the node is.")
+    region = property(_get_region, _set_region, doc="Fence region id, or None.")
 
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name in ("x", "y", "width", "height"):
-            d = self._design
-            if d is not None:
-                d._positions_version += 1
-        elif name == "orientation":
-            d = self._design
-            if d is not None:
-                d._positions_version += 1
-                d._topology_version += 1
+    def __init__(
+        self,
+        name: str,
+        width: float,
+        height: float,
+        kind: NodeKind = NodeKind.CELL,
+        x: float = 0.0,
+        y: float = 0.0,
+        orientation: Orientation = Orientation.N,
+        region: int | None = None,
+        module: str | None = None,  # hierarchy module path, if any
+        index: int = -1,  # position in Design.nodes, set on add
+        pins: list | None = None,  # Pin objects, set by Design
+    ):
+        self.name = name
+        self.module = module
+        self.index = index
+        self.pins = [] if pins is None else pins
+        self._cols = [[0.0], [0.0], [0.0], [0.0], [0], [0], [-1]]  # detached row
+        self._row = 0
+        self.x, self.y, self.width, self.height = x, y, width, height
+        self.orientation, self.kind, self.region = orientation, kind, region
+
+    def __repr__(self) -> str:
+        return (
+            f"Node({self.name!r}, {self.width}, {self.height}, {self.kind}, "
+            f"x={self.x}, y={self.y}, {self.orientation}, region={self.region})"
+        )
 
     @property
     def is_movable(self) -> bool:
-        return self.kind.is_movable
-
-    @property
-    def is_macro(self) -> bool:
-        return self.kind in (NodeKind.MACRO, NodeKind.FIXED)
+        return MOVABLE[self._cols[KIND][self._row]]
 
     @property
     def placed_width(self) -> float:
         """Outline width on the die under the current orientation."""
-        if self.orientation.swaps_dimensions:
-            return self.height
-        return self.width
+        cols, row = self._cols, self._row
+        return cols[HEIGHT if SWAPS[cols[ORIENT][row]] else WIDTH][row]
 
     @property
     def placed_height(self) -> float:
         """Outline height on the die under the current orientation."""
-        if self.orientation.swaps_dimensions:
-            return self.width
-        return self.height
+        cols, row = self._cols, self._row
+        return cols[WIDTH if SWAPS[cols[ORIENT][row]] else HEIGHT][row]
 
     @property
     def area(self) -> float:

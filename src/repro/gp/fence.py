@@ -22,16 +22,12 @@ class FencePenalty:
         self.num_nodes = len(design.nodes)
         # Per region: member node indices and their half-sizes.
         self.groups = []
-        region_members = {}
-        for node in design.nodes:
-            if node.region is not None and node.is_movable:
-                region_members.setdefault(node.region, []).append(node.index)
-        for rid, members in sorted(region_members.items()):
-            region = design.regions[rid]
-            idx = np.asarray(members, dtype=np.int64)
-            hw = np.array([design.nodes[i].placed_width / 2 for i in members])
-            hh = np.array([design.nodes[i].placed_height / 2 for i in members])
-            self.groups.append((region, idx, hw, hh))
+        region = design.region_ids()
+        fenced = (region >= 0) & design.movable_mask()
+        w, h = design.placed_sizes()
+        for rid in np.unique(region[fenced]):
+            idx = np.flatnonzero(fenced & (region == rid))
+            self.groups.append((design.regions[rid], idx, w[idx] / 2, h[idx] / 2))
 
     @property
     def active(self) -> bool:

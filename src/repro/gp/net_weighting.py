@@ -63,6 +63,4 @@ def apply_congestion_net_weights(
         if new_weight > net.weight:
             net.weight = new_weight
             touched += 1
-    if touched:
-        design._topology_version += 1  # invalidate cached pin arrays
     return touched

@@ -288,9 +288,7 @@ class GlobalPlacer:
             # gradient a one-bin displacement of all fenced cells would
             # produce, so mu stays finite and the penalty merely *keeps*
             # cells in rather than walling off the line search.
-            n_fenced = sum(
-                1 for n in design.nodes if n.region is not None and n.is_movable
-            )
+            n_fenced = sum(len(idx) for _, idx, _, _ in fence.groups)
             floor = 2.0 * max(grid.bin_w, grid.bin_h) * max(n_fenced, 1)
             state["mu"] = FENCE_WEIGHT_INITIAL_RATIO * wl_norm / max(f_norm, floor)
         else:

@@ -71,5 +71,4 @@ def apply_pl(design: Design, path: str, *, strict: bool = True) -> int:
                     f"{fname}:{lineno}: {exc} (line: {line!r})"
                 ) from None
             applied += 1
-    design._topology_version += 1
     return applied

@@ -53,6 +53,42 @@ def blocked_dot(a, b) -> float:
     return total
 
 
+def solve_cg(A, b, x0, *, rtol: float = 1e-5, maxiter: int | None = None) -> np.ndarray:
+    """Solve ``A x = b`` for a symmetric positive-definite ``A``.
+
+    The unpreconditioned iteration of ``scipy.sparse.linalg.cg``: the same
+    update order and stop rule (``||r|| < rtol * ||b||``, at most
+    ``maxiter`` iterations, default ``10 * len(b)``), with every dot
+    product and norm taken by :func:`blocked_dot`.  Up to
+    :data:`DOT_CHUNK` unknowns the result equals scipy's bytes; past it,
+    it does not depend on the BLAS thread count.
+    """
+    b = np.asarray(b, dtype=float)
+    x = np.array(x0, dtype=float)
+    b_norm = math.sqrt(blocked_dot(b, b))
+    if b_norm == 0.0:
+        return b.copy()
+    atol = rtol * b_norm
+    r = b - A @ x if x.any() else b.copy()
+    p = None
+    rho_prev = 1.0
+    for _ in range(10 * len(b) if maxiter is None else maxiter):
+        rho = blocked_dot(r, r)
+        if math.sqrt(rho) < atol:
+            break
+        if p is None:
+            p = r.copy()
+        else:
+            p *= rho / rho_prev
+            p += r
+        q = A @ p
+        alpha = rho / blocked_dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x
+
+
 @dataclass
 class CGResult:
     """Outcome of :func:`minimize_cg`."""

@@ -138,8 +138,6 @@ class FlowCheckpoint:
             if cal.get("supply") is not None:
                 cal["supply"] = np.asarray(cal["supply"], dtype=float)
             design.congestion_calibration = cal
-        design.mark_positions_dirty()
-        design._topology_version += 1
         rng = self.rng or {}
         if "python" in rng:
             ver, state, gauss = rng["python"]

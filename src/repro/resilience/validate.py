@@ -138,8 +138,7 @@ def validate_design(design, *, sanitize: bool = False) -> ValidationReport:
     _check_pins(design, report, sanitize)
     _check_fences(design, report, sanitize)
     if sanitize and any(i.fixed for i in report.issues):
-        design.mark_positions_dirty()
-        design._topology_version += 1
+        design.netlist_changed()
     return report
 
 

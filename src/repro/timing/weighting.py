@@ -61,6 +61,4 @@ def apply_timing_net_weights(
         if new_weight > net.weight + 1e-12:
             net.weight = new_weight
             touched += 1
-    if touched:
-        design._topology_version += 1
     return touched

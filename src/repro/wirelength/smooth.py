@@ -76,8 +76,8 @@ def compaction_for(arrays) -> _Compaction:
     """The (cached) compaction of one pin table.
 
     The build is memoized on the ``PinArrays`` object itself: pin tables
-    are immutable once built and replaced wholesale when the topology or
-    an orientation changes, so object identity is a safe key.
+    are immutable once built and replaced wholesale when the topology, an
+    orientation or a net weight changes, so object identity is a safe key.
     """
     comp = getattr(arrays, "_smooth_compaction", None)
     if comp is None:

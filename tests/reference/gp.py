@@ -435,8 +435,14 @@ class ReferenceBellDensity(BellDensity):
 # ----------------------------------------------------------------------
 def pin_arrays_reference(self: Design) -> PinArrays:
     """``Design.pin_arrays`` with the original per-pin loop."""
-    if self._pin_cache is not None and self._pin_cache_version == self._topology_version:
-        return self._pin_cache
+    key = (
+        self._topology_version,
+        [node.orientation for node in self.nodes],
+        [net.weight for net in self.nets],
+    )
+    cached = getattr(self, "_pin_cache_reference", None)
+    if cached is not None and cached[0] == key:
+        return cached[1]
     num_pins = self.num_pins
     pin_node = np.empty(num_pins, dtype=np.int32)
     pin_dx = np.empty(num_pins)
@@ -455,9 +461,9 @@ def pin_arrays_reference(self: Design) -> PinArrays:
             k += 1
         net_ptr[i + 1] = k
         net_weight[i] = net.weight
-    self._pin_cache = PinArrays(pin_node, pin_dx, pin_dy, net_ptr, net_weight)
-    self._pin_cache_version = self._topology_version
-    return self._pin_cache
+    arrays = PinArrays(pin_node, pin_dx, pin_dy, net_ptr, net_weight)
+    self._pin_cache_reference = (key, arrays)
+    return arrays
 
 
 def rasterize_rects_reference(self, xl, yl, xh, yh, values=None, *, out=None) -> np.ndarray:

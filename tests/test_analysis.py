@@ -42,8 +42,7 @@ class TestNetLengthStats:
 
 class TestDisplacement:
     def test_zero_for_identity(self, design):
-        snap = design.clone_placement()
-        ref = {i: (x, y) for i, (x, y, _) in snap.items()}
+        ref = {n.index: (n.x, n.y) for n in design.nodes}
         stats = displacement_stats(design, ref)
         assert stats["total"] == 0.0
 

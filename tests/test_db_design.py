@@ -104,7 +104,6 @@ class TestGeometryViews:
     def test_masks(self):
         d = small_design()
         assert d.movable_mask().tolist() == [True, True, False]
-        assert d.fixed_mask().tolist() == [False, False, True]
         assert d.movable_indices().tolist() == [0, 1]
 
 
@@ -182,13 +181,91 @@ class TestMetrics:
         assert any("no pins" in p for p in d.validate())
 
 
-class TestSnapshots:
-    def test_clone_restore(self):
-        d = small_design()
-        snap = d.clone_placement()
-        node = d.node("a")
-        node.x = 99
-        d.set_orientation(d.node("b"), Orientation.FS)
-        d.restore_placement(snap)
-        assert node.x == 10
-        assert d.node("b").orientation is Orientation.N
+class TestNodeColumns:
+    def _design(self):
+        d = Design("cc", core=Rect(0, 0, 20, 20))
+        a = d.add_node(Node("a", 2, 2, x=1, y=1))
+        b = d.add_node(Node("b", 2, 4, x=5, y=5))
+        return d, a, b
+
+    def test_pull_centers_returns_copies(self):
+        d, a, _ = self._design()
+        cx, cy = d.pull_centers()
+        cx[0] = 123.0
+        cx2, _ = d.pull_centers()
+        assert cx2[0] == a.cx != 123.0
+
+    def test_direct_attribute_write_is_visible(self):
+        d, a, _ = self._design()
+        d.pull_centers()
+        a.x = 10.0
+        assert d.pull_centers()[0][0] == a.cx == 11.0
+
+    def test_move_center_to_is_visible(self):
+        d, a, _ = self._design()
+        d.pull_centers()
+        a.move_center_to(7.0, 8.0)
+        cx, cy = d.pull_centers()
+        assert (cx[0], cy[0]) == (7.0, 8.0)
+
+    def test_push_centers_is_visible_to_nodes(self):
+        d, a, b = self._design()
+        d.pull_centers()
+        d.push_centers(np.array([3.0, 9.0]), np.array([3.0, 9.0]))
+        np.testing.assert_allclose(d.pull_centers()[0], [3.0, 9.0])
+        assert (a.cx, b.cy) == (3.0, 9.0)
+
+    def test_orientation_change_reaches_centers_and_pins(self):
+        d, _, b = self._design()
+        d.add_net(Net("n", pins=[Pin(node=b.index, dx=1.0, dy=2.0)]))
+        d.pull_centers()
+        arrays = d.pin_arrays()
+        d.set_orientation(b, Orientation.W)
+        assert d.pin_arrays() is not arrays  # offsets re-oriented
+        cx, cy = d.pull_centers()
+        assert (cx[1], cy[1]) == (b.cx, b.cy)
+
+    def test_detached_row_survives_add_node(self):
+        d = Design("grow", core=Rect(0, 0, 1000, 1000))
+        d.add_region(Region("f", [Rect(0, 0, 10, 10)]))
+        # Enough nodes to grow the table past its first capacity.
+        nodes = [
+            Node(f"n{i}", i + 0.5, 2, NodeKind.MACRO, 3 * i, i + 0.25,
+                 Orientation.E, 0 if i % 2 else None)
+            for i in range(200)
+        ]
+        for node in nodes:
+            d.add_node(node)
+        for i, node in enumerate(nodes):
+            assert (node.x, node.y, node.width, node.height) == (3 * i, i + 0.25, i + 0.5, 2)
+            assert (node.orientation, node.kind) == (Orientation.E, NodeKind.MACRO)
+            assert node.region == (0 if i % 2 else None)
+        node = nodes[7]
+        node.x, node.width, node.region = 1.5, 9.0, None
+        node.orientation, node.kind = Orientation.N, NodeKind.CELL
+        assert d.pull_centers()[0][7] == 1.5 + 9.0 / 2.0
+        assert d.region_ids()[7] == -1
+        assert not d.macro_mask()[7] and d.macro_mask()[8]
+        assert d.placed_sizes()[0][7] == 9.0
+        assert type(nodes[3].x) is float  # given as the int 9
+        assert type(node.width) is float
+        assert type(nodes[1].region) is int
+        assert type(node.orientation) is Orientation and type(node.kind) is NodeKind
+
+    def test_net_weight_write_reaches_hpwl(self):
+        d, a, b = self._design()
+        net = d.add_net(Net("n", pins=[Pin(node=a.index), Pin(node=b.index)]))
+        assert d.hpwl() == 9.0  # centres (2, 2) and (6, 7)
+        net.weight = 3.0
+        assert d.hpwl() == 27.0
+
+    def test_sanitize_pin_clamp_rebuilds_pin_arrays(self):
+        from repro.resilience import validate_design
+
+        d, a, b = self._design()
+        d.add_net(Net("n", pins=[Pin(node=a.index, dx=5.0), Pin(node=b.index)]))
+        stale = d.pin_arrays()
+        validate_design(d, sanitize=True)
+        fresh = d.pin_arrays()
+        assert fresh is not stale
+        assert fresh.pin_dx[0] == 1.0  # clamped to a's half width

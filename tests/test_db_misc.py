@@ -48,11 +48,6 @@ class TestNodeGeometry:
         n.move_center_to(10, 10)
         assert (n.x, n.y) == (8, 9)
 
-    def test_is_macro(self):
-        assert Node("m", 1, 1, kind=NodeKind.MACRO).is_macro
-        assert Node("f", 1, 1, kind=NodeKind.FIXED).is_macro
-        assert not Node("c", 1, 1).is_macro
-
 
 class TestPinDirection:
     @pytest.mark.parametrize(

@@ -87,7 +87,6 @@ class TestFlow:
         # recompute with weights forced back to 1 (generator weights are 1)
         for net in d1.nets:
             net.weight = 1.0
-        d1._topology_version += 1
         assert res.hpwl_final == pytest.approx(d1.hpwl(), rel=1e-9)
 
     def test_timing_weighting_flag(self):

@@ -87,7 +87,7 @@ class TestPinArrays:
     def test_reference_and_fast_tables_identical(self, seed):
         d = bench(seed=seed)
         ref = pin_arrays_reference(d)
-        d._pin_cache = None  # force a rebuild through the fast path
+        d.netlist_changed()  # force a rebuild through the fast path
         opt = d.pin_arrays()
         for attr in ("pin_node", "pin_dx", "pin_dy", "net_ptr", "net_weight"):
             assert np.array_equal(getattr(ref, attr), getattr(opt, attr)), attr
@@ -100,7 +100,7 @@ class TestPinArrays:
         d.pin_arrays()
         d.set_orientation(macro, Orientation.W)
         opt = d.pin_arrays()
-        d._pin_cache = None
+        d.netlist_changed()
         ref = pin_arrays_reference(d)
         assert np.array_equal(ref.pin_dx, opt.pin_dx)
         assert np.array_equal(ref.pin_dy, opt.pin_dy)

@@ -6,9 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import repro
-from repro.optim import blocked_dot, minimize_cg
+from repro.optim import blocked_dot, minimize_cg, solve_cg
 from repro.optim.cg import DOT_CHUNK
 
 
@@ -135,25 +137,61 @@ res = minimize_cg(
 sys.stdout.write(res.x.tobytes().hex())
 """
 
+# The quadratic baseline's solve on 12,000 unknowns; prints x's bytes.
+_SOLVE_CG_RUN = """
+import sys
+from repro.optim import solve_cg
+from tests.test_optim import spd_system
+
+lap, b, x0 = spd_system(12_000)
+sys.stdout.write(solve_cg(lap, b, x0, rtol=1e-6, maxiter=300).tobytes().hex())
+"""
+
+
+def spd_system(n: int):
+    """A random graph Laplacian plus 0.01 I, a right-hand side and a start."""
+    rng = np.random.default_rng(n)
+    i, j = rng.integers(0, n, (2, 4 * n))
+    adj = sp.coo_matrix((rng.uniform(0.1, 2.0, 4 * n), (i, j)), shape=(n, n))
+    adj = (adj + adj.T).tocsr()
+    lap = sp.diags(np.asarray(adj.sum(axis=1)).ravel() + 0.01) - adj
+    return lap.tocsr(), rng.normal(size=n), rng.normal(size=n)
+
+
+def run_with_blas_threads(script: str, threads: int) -> str:
+    """Stdout of ``script`` in a fresh interpreter with ``threads`` BLAS threads."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs",
+)
+
 
 class TestBlasThreadCount:
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-        reason="needs two CPUs",
-    )
+    @needs_two_cpus
     def test_cg_bits_equal_at_one_and_two_threads(self):
-        src = os.path.dirname(os.path.dirname(repro.__file__))
+        assert run_with_blas_threads(_CG_RUN, 1) == run_with_blas_threads(_CG_RUN, 2)
 
-        def run(threads: int) -> str:
-            env = dict(os.environ, PYTHONPATH=src)
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                env[var] = str(threads)
-            return subprocess.run(
-                [sys.executable, "-c", _CG_RUN],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
+    @needs_two_cpus
+    def test_solve_cg_bits_equal_at_one_and_two_threads(self):
+        one = run_with_blas_threads(_SOLVE_CG_RUN, 1)
+        assert one == run_with_blas_threads(_SOLVE_CG_RUN, 2)
 
-        assert run(1) == run(2)
+    @pytest.mark.parametrize("n", [100, DOT_CHUNK])
+    def test_solve_cg_matches_scipy_bytes(self, n):
+        lap, b, x0 = spd_system(n)
+        ref, _ = spla.cg(lap, b, x0=x0, rtol=1e-6, maxiter=300)
+        assert solve_cg(lap, b, x0, rtol=1e-6, maxiter=300).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [0, 1, 4_000, DOT_CHUNK])
     def test_short_vectors_keep_np_dot_bits(self, n):

@@ -2,7 +2,7 @@
 
 Every optimized path introduced by the router overhaul (vectorized
 decomposition, CSR-incidence offender scan, diff-array commits,
-incremental cost refresh, array-based maze A*, cached ``pull_centers``)
+incremental cost refresh, array-based maze A*)
 is held against the original implementation (its golden twin in
 ``tests/reference/``) on the same inputs and must match *exactly* — same
 arrays, same tie-breaking, same metrics.  The full-route test also runs
@@ -17,7 +17,7 @@ import pytest
 from repro.benchgen import BenchmarkSpec, make_benchmark, make_suite_design
 from repro.baselines.random_place import random_placement
 from repro.db import Design, Net, Node, Pin
-from repro.geometry import Orientation, Rect
+from repro.geometry import Rect
 from repro.route import GlobalRouter, GridGraph, RoutingSpec
 from repro.route.maze import maze_route
 from repro.route.pattern import prefix_costs
@@ -263,65 +263,6 @@ class TestFullRouteEquivalence:
                 "vias": ref.metrics.vias,
             }
             assert_quality(fresh, SUITE_QUALITY[source])
-
-
-class TestCentersCache:
-    def _design(self):
-        d = Design("cc", core=Rect(0, 0, 20, 20))
-        a = d.add_node(Node("a", 2, 2, x=1, y=1))
-        b = d.add_node(Node("b", 2, 4, x=5, y=5))
-        return d, a, b
-
-    def test_returns_copies(self):
-        d, a, _ = self._design()
-        cx, cy = d.pull_centers()
-        cx[0] = 123.0
-        cx2, _ = d.pull_centers()
-        assert cx2[0] == a.cx != 123.0
-
-    def test_direct_attribute_write_invalidates(self):
-        d, a, _ = self._design()
-        d.pull_centers()
-        a.x = 10.0
-        assert d.pull_centers()[0][0] == a.cx == 11.0
-
-    def test_move_center_to_invalidates(self):
-        d, a, _ = self._design()
-        d.pull_centers()
-        a.move_center_to(7.0, 8.0)
-        cx, cy = d.pull_centers()
-        assert (cx[0], cy[0]) == (7.0, 8.0)
-
-    def test_push_centers_invalidates(self):
-        d, _, _ = self._design()
-        d.pull_centers()
-        d.push_centers(np.array([3.0, 9.0]), np.array([3.0, 9.0]))
-        np.testing.assert_allclose(d.pull_centers()[0], [3.0, 9.0])
-
-    def test_orientation_invalidates_centers_and_pins(self):
-        d, _, b = self._design()
-        d.add_net(Net("n", pins=[Pin(node=b.index, dx=1.0, dy=2.0)]))
-        d.pull_centers()
-        arrays = d.pin_arrays()
-        d.set_orientation(b, Orientation.W)
-        assert d.pin_arrays() is not arrays  # pin cache rebuilt
-        cx, cy = d.pull_centers()
-        assert (cx[1], cy[1]) == (b.cx, b.cy)
-
-    def test_restore_placement_invalidates(self):
-        d, a, _ = self._design()
-        snap = d.clone_placement()
-        a.move_center_to(15.0, 15.0)
-        d.pull_centers()
-        d.restore_placement(snap)
-        assert d.pull_centers()[0][0] == a.cx == 2.0
-
-    def test_mark_positions_dirty(self):
-        d, _, _ = self._design()
-        d.pull_centers()
-        v = d._positions_version
-        d.mark_positions_dirty()
-        assert d._positions_version == v + 1
 
 
 class TestKnobPlumbing:
