@@ -129,11 +129,7 @@ def submit_jobs(client: ServeClient, count: int, rng: random.Random,
 def reference_result(record: dict) -> dict:
     """Fault-free inline run of one job's spec + flow config."""
     from repro.flow import NTUplace4H
-    from repro.serve.worker import (
-        build_design,
-        build_flow_config,
-        flow_result_summary,
-    )
+    from repro.serve.worker import build_design, build_flow_config
 
     options = dict(record.get("options") or {})
     options.pop("faults", None)
@@ -144,7 +140,7 @@ def reference_result(record: dict) -> dict:
         result = NTUplace4H(cfg).run(
             design, route=bool(options.get("route", True))
         )
-        return flow_result_summary(result)
+        return result.summary()
     finally:
         shutil.rmtree(job_dir, ignore_errors=True)
 

@@ -12,7 +12,8 @@ Environment:
 * ``REPRO_BENCH_FULL=1`` — run the full six-design suite (several
   minutes); default is the three small designs.
 * ``REPRO_BENCH_DP=1`` — include detailed placement in flow runs
-  (slower, slightly better HPWL everywhere, same comparisons).
+  (one round for every placer; slower, slightly better HPWL
+  everywhere, same comparisons).
 * ``REPRO_BENCH_TRACE_DIR=dir`` — capture a hierarchical trace of every
   flow run and write ``<dir>/<design>_<flow>.trace.jsonl``, so the
   runtime tables can be cross-checked against stage-level span
@@ -92,7 +93,9 @@ def run_quadratic(name: str):
     design = make_suite_design(name)
     result = _traced(
         f"{name}_quadratic",
-        lambda: run_baseline_flow(design, "quadratic", run_dp=run_dp()),
+        lambda: run_baseline_flow(
+            design, "quadratic", config=flow_config(routability=False)
+        ),
     )
     return design, result
 

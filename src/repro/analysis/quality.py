@@ -4,31 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.wirelength.hpwl import hpwl_per_net
-
-
-def net_length_stats(design) -> dict:
-    """Distribution statistics of per-net HPWL (unweighted).
-
-    The long tail is what routability work attacks; the mean tracks the
-    placer's core objective.
-    """
-    arrays = design.pin_arrays()
-    cx, cy = design.pull_centers()
-    lengths = hpwl_per_net(arrays, cx, cy)
-    active = lengths[np.diff(arrays.net_ptr) >= 2]
-    if active.size == 0:
-        return {"count": 0}
-    return {
-        "count": int(active.size),
-        "total": float(active.sum()),
-        "mean": float(active.mean()),
-        "median": float(np.median(active)),
-        "p90": float(np.percentile(active, 90)),
-        "p99": float(np.percentile(active, 99)),
-        "max": float(active.max()),
-    }
-
 
 def displacement_stats(design, reference: dict) -> dict:
     """Displacement of every movable node versus ``reference``.

@@ -9,8 +9,10 @@
   the main flow with routability disabled —
   :func:`repro.flow.wirelength_driven_flow`.
 
-Both baselines share the same legalization/detailed-placement backend as
-the main flow, so comparisons isolate the global-placement algorithm.
+:func:`run_baseline_flow` runs either baseline as the global-placement
+stage of :class:`~repro.flow.NTUplace4H`: every later stage, fallback,
+fault point and run record is the main flow's, so comparisons isolate
+the global-placement algorithm.
 """
 
 from repro.baselines.quadratic import QuadraticPlacer, QuadraticConfig

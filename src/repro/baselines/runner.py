@@ -1,72 +1,63 @@
-"""Run a baseline global placer through the shared back-end flow.
+"""Run a baseline global placer as the GP stage of the main flow.
 
-Keeps comparisons apples-to-apples: every placer gets the same macro
-legalization, fence-aware legalization, detailed placement and router
-scoring as the main flow.
+A baseline flow is :class:`~repro.flow.NTUplace4H` with the baseline
+in its global-placement stage, so every placer gets the main flow's
+validation, macro and fence-aware legalization (with the Tetris
+fallback), detailed placement, router scoring (with the RUDY fallback),
+fault points, spans and run records.  Comparisons then isolate the
+global-placement algorithm.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.baselines.quadratic import QuadraticPlacer
 from repro.baselines.random_place import random_placement
 from repro.db import Design
-from repro.dp import DetailedPlacer, DPConfig
-from repro.flow.ntuplace4h import FlowResult
+from repro.flow import FlowConfig, FlowResult, NTUplace4H
+from repro.gp import GPReport
 from repro.gp.fence import project_into_fences
-from repro.legal import Legalizer, legalize_macros
-from repro.route import GlobalRouter, scaled_hpwl
+from repro.legal import legalize_macros
+
+#: Baseline name -> placer(design, seed).
+_PLACERS = {
+    "quadratic": lambda design, seed: QuadraticPlacer().place(design),
+    "random": lambda design, seed: random_placement(design, seed=seed),
+}
+
+
+class _BaselineFlow(NTUplace4H):
+    """The main flow with a baseline placer as its GP stage."""
+
+    def __init__(self, kind: str, config: FlowConfig, seed: int):
+        super().__init__(config)
+        self.name = kind
+        self.seed = seed
+
+    def _global_place(self, design: Design, watchdog) -> GPReport:
+        _PLACERS[self.name](design, self.seed)
+        project_into_fences(design)
+        return GPReport()
+
+    def _macro_legal_refine(self, design: Design) -> None:
+        # Net weighting and the cell-only refine GP are NTUplace4h's own
+        # algorithm; a baseline only gets its macros legalized.
+        legalize_macros(design, channel=self.config.macro_channel)
 
 
 def run_baseline_flow(
     design: Design,
     kind: str = "quadratic",
     *,
-    run_dp: bool = True,
+    config: FlowConfig | None = None,
     route: bool = True,
     seed: int = 0,
 ) -> FlowResult:
     """Place ``design`` with the named baseline and score it.
 
-    ``kind``: ``"quadratic"`` or ``"random"``.
+    ``kind``: ``"quadratic"`` or ``"random"``.  ``config`` sets every
+    stage after GP; it defaults to :meth:`FlowConfig.wirelength_only`.
     """
-    result = FlowResult(design_name=design.name)
-    t = time.perf_counter()
-    if kind == "quadratic":
-        QuadraticPlacer().place(design)
-    elif kind == "random":
-        random_placement(design, seed=seed)
-    else:
+    if kind not in _PLACERS:
         raise ValueError(f"unknown baseline {kind!r}")
-    project_into_fences(design)
-    result.stage_seconds["global_place"] = time.perf_counter() - t
-    result.hpwl_gp = design.hpwl()
-
-    t = time.perf_counter()
-    legalize_macros(design)
-    legal_result = Legalizer().legalize(design)
-    result.stage_seconds["legalize"] = time.perf_counter() - t
-    result.legal_result = legal_result
-    result.hpwl_legal = design.hpwl()
-
-    if run_dp:
-        t = time.perf_counter()
-        dp_cfg = DPConfig(congestion_aware=False)
-        result.dp_report = DetailedPlacer(dp_cfg).run(design, legal_result.submap)
-        result.stage_seconds["detailed_place"] = time.perf_counter() - t
-
-    result.hpwl_final = design.hpwl()
-    result.legal = legal_result.report.ok
-    if route and design.routing is not None:
-        t = time.perf_counter()
-        rr = GlobalRouter(design.routing).route(design)
-        result.stage_seconds["route"] = time.perf_counter() - t
-        result.route_result = rr
-        result.rc = rr.metrics.rc
-        result.total_overflow = rr.metrics.total_overflow
-        result.peak_congestion = rr.metrics.peak_congestion
-        result.scaled_hpwl = scaled_hpwl(result.hpwl_final, result.rc)
-    else:
-        result.scaled_hpwl = result.hpwl_final
-    return result
+    flow = _BaselineFlow(kind, config or FlowConfig.wirelength_only(), seed)
+    return flow.run(design, route=route)

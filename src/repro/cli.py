@@ -10,12 +10,13 @@ The subcommands mirror how the original tools were driven::
 
 ``place`` runs the full NTUplace4h flow (``--wirelength-only`` disables
 the routability machinery; ``--baseline quadratic`` runs the quadratic
-placer through the same back-end) and writes the placed design back in
-Bookshelf format, plus an optional SVG.  ``--checkpoint-dir`` makes the
-flow write a resumable checkpoint after every stage and ``--resume``
-continues from it; ``--strict`` turns a degraded result into a nonzero
-exit.  On flow failure, ``place``/``route`` exit nonzero and print the
-failing stage plus the last trace event (see docs/robustness.md).
+placer as the GP stage of the same flow) and writes the placed design
+back in Bookshelf format, plus an optional SVG.  ``--checkpoint-dir``
+makes the flow write a resumable checkpoint after every stage and
+``--resume`` continues from it; ``--strict`` turns a degraded result
+into a nonzero exit.  On flow failure, ``place``/``route`` exit nonzero
+and print the failing stage plus the last trace event (see
+docs/robustness.md).
 
 Exit codes: 0 success; 1 flow finished but the placement is not legal
 (or, with ``--strict``, the result is degraded); 2 usage or input
@@ -143,6 +144,20 @@ def _cmd_place(args) -> int:
     design, code = _read_design(args)
     if design is None:
         return code
+    # A baseline runs the same flow with its own GP stage, so every flag
+    # below applies to it too.
+    cfg = (
+        FlowConfig.wirelength_only()
+        if args.wirelength_only or args.baseline
+        else FlowConfig()
+    )
+    if args.no_dp:
+        cfg.run_dp = False
+    cfg.checkpoint_dir = args.checkpoint_dir
+    cfg.runs_dir = default_runs_dir(args.runs_dir)
+    _apply_route_knobs(cfg, args)
+    _apply_dp_knobs(cfg, args)
+    _apply_predict_knobs(cfg, args)
     # Always capture a trace: on failure the failing stage and the last
     # event are reported; --trace/--trace-summary just export it.
     tracer = Tracer(profile_resources=args.profile)
@@ -174,21 +189,9 @@ def _cmd_place(args) -> int:
         with use_tracer(tracer):
             if args.baseline:
                 result = run_baseline_flow(
-                    design, args.baseline, route=not args.no_route
+                    design, args.baseline, config=cfg, route=not args.no_route
                 )
             else:
-                cfg = (
-                    FlowConfig.wirelength_only()
-                    if args.wirelength_only
-                    else FlowConfig()
-                )
-                if args.no_dp:
-                    cfg.run_dp = False
-                cfg.checkpoint_dir = args.checkpoint_dir
-                cfg.runs_dir = default_runs_dir(args.runs_dir)
-                _apply_route_knobs(cfg, args)
-                _apply_dp_knobs(cfg, args)
-                _apply_predict_knobs(cfg, args)
                 result = NTUplace4H(cfg).run(
                     design,
                     route=not args.no_route,
@@ -346,7 +349,9 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    design = read_bookshelf(args.aux)
+    design, code = _read_design(args)
+    if design is None:
+        return code
     print(format_table([compute_stats(design).as_row()]))
     problems = design.validate()
     if problems:

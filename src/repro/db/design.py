@@ -98,9 +98,10 @@ class Design:
         self.regions: list = []
         self.hierarchy = HierarchyTree()
         self.routing = None  # repro.route.RoutingSpec, if congestion-aware
-        # One-time congestion-estimator calibration (pin_norm, supply
-        # map) shared by every CongestionInflator bound to this design
-        # and carried through flow checkpoints (see repro.gp.inflation).
+        # One-time congestion-estimator calibration (pin_norm and the
+        # wire width it was measured at) shared by every
+        # CongestionInflator bound to this design and carried through
+        # flow checkpoints (see repro.gp.inflation).
         self.congestion_calibration = None
         self._core = core
         self._node_index: dict = {}

@@ -80,9 +80,6 @@ class HierarchyTree:
         module.cells.append(node_index)
         return module
 
-    def module_of(self, path: str) -> "Module | None":
-        return self._by_name.get(path)
-
     def lowest_common_module(self, path_a: str, path_b: str) -> Module:
         """Deepest module containing both paths."""
         parts_a = path_a.split("/") if path_a else []

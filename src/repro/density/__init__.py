@@ -8,6 +8,6 @@ report metric used for convergence decisions and result tables.
 """
 
 from repro.density.bell import BellDensity, bell_kernel
-from repro.density.overflow import density_map, density_overflow
+from repro.density.overflow import density_overflow
 
-__all__ = ["BellDensity", "bell_kernel", "density_map", "density_overflow"]
+__all__ = ["BellDensity", "bell_kernel", "density_overflow"]

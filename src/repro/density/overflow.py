@@ -1,30 +1,10 @@
-"""Exact-overlap density maps and the density-overflow report metric."""
+"""The exact-overlap density-overflow report metric."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.grids import BinGrid
-
-
-def density_map(design, grid: BinGrid | None = None, nx: int = 64, ny: int = 64):
-    """Exact movable-area density per bin, as a fraction of bin free space.
-
-    Returns ``(grid, density)`` where ``density[ix, iy]`` is movable area
-    in the bin divided by its free (non-fixed) capacity.
-    """
-    if grid is None:
-        grid = BinGrid(design.core, nx, ny)
-    usage = grid.zeros()
-    blocked = grid.zeros()
-    for node in design.nodes:
-        r = node.rect
-        if node.is_movable:
-            grid.add_rect(usage, r)
-        elif node.kind.blocks_placement:
-            grid.add_rect(blocked, r)
-    free = np.maximum(grid.bin_area - blocked, 1e-12)
-    return grid, usage / free
 
 
 def density_overflow(design, target_density: float = 1.0, nx: int = 64, ny: int = 64) -> float:

@@ -19,12 +19,12 @@ DP -> routing), the flow carries the resilience machinery of
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.db import Design
 from repro.dp import DetailedPlacer
 from repro.flow.config import FlowConfig
-from repro.gp import GlobalPlacer, GPConfig
+from repro.gp import GlobalPlacer, GPConfig, GPReport
 from repro.gp.initial import initial_placement
 from repro.legal import Legalizer, legalize_macros
 from repro.legal.subrows import SubRowMap
@@ -44,19 +44,6 @@ _log = get_logger("flow")
 
 #: Stage names in execution order (checkpoints record the completed prefix).
 FLOW_STAGES = ("gp", "macro_legal_refine", "legal", "dp", "route")
-
-# Scalar FlowResult fields persisted in checkpoints.
-_RESULT_SCALARS = (
-    "hpwl_gp",
-    "hpwl_legal",
-    "hpwl_final",
-    "rc",
-    "scaled_hpwl",
-    "total_overflow",
-    "peak_congestion",
-    "legal",
-    "degraded",
-)
 
 
 @dataclass
@@ -119,6 +106,37 @@ class FlowResult:
         out["resilience"] = resilience
         return out
 
+    def summary(self) -> dict:
+        """The one result record: a serve job's ``result``, the
+        ``result`` of a checkpoint and the source of a run record."""
+        return {
+            "design": self.design_name,
+            "hpwl_gp": float(self.hpwl_gp),
+            "hpwl_legal": float(self.hpwl_legal),
+            "hpwl_final": float(self.hpwl_final),
+            "rc": float(self.rc),
+            "scaled_hpwl": float(self.scaled_hpwl),
+            "total_overflow": float(self.total_overflow),
+            "peak_congestion": float(self.peak_congestion),
+            "legal": bool(self.legal),
+            "degraded": bool(self.degraded),
+            "degradation": [dict(d) for d in self.degradation],
+            "stage_seconds": {
+                k: float(v) for k, v in self.stage_seconds.items()
+            },
+            "resumed_stages": list(self.resumed_stages),
+            "run_id": self.run_id,
+        }
+
+    def restore(self, summary: dict) -> None:
+        """Take back the scalars (the float and bool fields), stage times
+        and degradations of a checkpointed :meth:`summary`."""
+        for f in fields(self):
+            if f.type in ("float", "bool") and f.name in summary:
+                setattr(self, f.name, summary[f.name])
+        self.stage_seconds.update(summary.get("stage_seconds", {}))
+        self.degradation = [dict(d) for d in summary.get("degradation", [])]
+
     def as_row(self) -> dict:
         return {
             "design": self.design_name,
@@ -134,7 +152,15 @@ class FlowResult:
 
 
 class NTUplace4H:
-    """Routability-driven placement flow for hierarchical mixed-size designs."""
+    """Routability-driven placement flow for hierarchical mixed-size designs.
+
+    The baseline flows of :mod:`repro.baselines` are subclasses that
+    override :meth:`_global_place` and :meth:`_macro_legal_refine`;
+    every other stage is this class's.
+    """
+
+    #: The placer named in run records.
+    name = "ntuplace4h"
 
     def __init__(self, config: FlowConfig | None = None):
         self.config = config or FlowConfig()
@@ -188,7 +214,7 @@ class NTUplace4H:
             completed = list(ckpt.completed)
             if ckpt.score_weights:
                 score_weights = [float(w) for w in ckpt.score_weights]
-            self._restore_result(result, ckpt.result)
+            result.restore(ckpt.result)
             result.resumed_stages = list(completed)
             result.restored_telemetry = dict(ckpt.telemetry)
             _log.info(
@@ -224,7 +250,7 @@ class NTUplace4H:
                 design,
                 completed=completed,
                 score_weights=score_weights,
-                result=self._result_state(result),
+                result=result.summary(),
                 telemetry=result.telemetry,
                 config=cfg,
             )
@@ -248,9 +274,7 @@ class NTUplace4H:
                 try:
                     maybe_raise("raise.gp")
                     with tracer.span("gp"):
-                        gp_report = GlobalPlacer(cfg.gp).place(
-                            design, watchdog=watchdog
-                        )
+                        gp_report = self._global_place(design, watchdog)
                     result.gp_report = gp_report
                     if gp_report.budget_exhausted:
                         degrade("gp", "budget_exhausted", **watchdog.describe())
@@ -436,7 +460,9 @@ class NTUplace4H:
             try:
                 from repro.obs.runs import record_flow_run
 
-                result.run_id = record_flow_run(cfg.runs_dir, result, cfg)
+                result.run_id = record_flow_run(
+                    cfg.runs_dir, result, cfg, flow=self.name
+                )
             except Exception as exc:
                 # A registry that cannot be written must not kill the run.
                 _log.warning(
@@ -447,6 +473,10 @@ class NTUplace4H:
         return result
 
     # ------------------------------------------------------------------
+    def _global_place(self, design: Design, watchdog) -> GPReport:
+        """The GP stage's placer (a baseline flow swaps in its own)."""
+        return GlobalPlacer(self.config.gp).place(design, watchdog=watchdog)
+
     def _macro_legal_refine(self, design: Design) -> None:
         """Net weighting, macro legalization, and the cell-only refine GP."""
         cfg = self.config
@@ -500,23 +530,6 @@ class NTUplace4H:
                 error=f"{type(exc).__name__}: {exc}",
             )
             return None
-
-    # -- checkpoint (de)hydration --------------------------------------
-    @staticmethod
-    def _result_state(result: FlowResult) -> dict:
-        state = {k: getattr(result, k) for k in _RESULT_SCALARS}
-        state["stage_seconds"] = dict(result.stage_seconds)
-        state["degradation"] = [dict(d) for d in result.degradation]
-        return state
-
-    @staticmethod
-    def _restore_result(result: FlowResult, state: dict) -> None:
-        for key in _RESULT_SCALARS:
-            if key in state:
-                setattr(result, key, state[key])
-        result.stage_seconds.update(state.get("stage_seconds", {}))
-        result.degradation = [dict(d) for d in state.get("degradation", [])]
-        result.degraded = bool(state.get("degraded", False))
 
 
 def wirelength_driven_flow() -> NTUplace4H:

@@ -68,28 +68,21 @@ class CongestionInflator:
         self.base_areas = w * h
         self.factors = np.ones(len(design.nodes))
         grid = self.spec.grid
-        # Per-tile supply density and the per-design pin calibration are
+        # Tracks crossing the tile per unit area.
+        self.supply = (
+            (self.spec.hcap * grid.bin_h + self.spec.vcap * grid.bin_w)
+            / grid.bin_area
+        )
+        # Average pin demand contribution, calibrated once per design
+        # (only valid for the wire width it was measured with) and
         # shared through ``design.congestion_calibration``: every
         # inflator bound to this design (flat GP, post-macro refinement,
-        # net weighting) reuses the one-time computation, and the flow
-        # checkpoints the dict so a resumed run restores the exact
-        # doubles instead of recomputing them.
-        cal = getattr(design, "congestion_calibration", None)
-        if not isinstance(cal, dict):
-            cal = {}
-            design.congestion_calibration = cal
-        supply = cal.get("supply")
-        if supply is not None and np.shape(supply) == (grid.nx, grid.ny):
-            self.supply = np.asarray(supply, dtype=float)
-        else:
-            # Tracks crossing the tile per unit area.
-            self.supply = (
-                (self.spec.hcap * grid.bin_h + self.spec.vcap * grid.bin_w)
-                / grid.bin_area
-            )
-            cal["supply"] = self.supply
-        # Average pin demand contribution, calibrated once per design
-        # (only valid for the wire width it was measured with).
+        # net weighting) reuses it, and the flow checkpoints the dict so
+        # a resumed run restores the exact double instead of
+        # recalibrating at post-resume positions.
+        cal = design.congestion_calibration
+        if cal is None:
+            cal = design.congestion_calibration = {}
         self._pin_norm = None
         if cal.get("pin_norm") is not None and cal.get("wire_width") == wire_width:
             self._pin_norm = float(cal["pin_norm"])

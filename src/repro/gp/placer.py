@@ -155,12 +155,7 @@ class GlobalPlacer:
                 )
                 clustered.transfer_positions()
 
-        flat = self._place_flat(
-            design,
-            report,
-            warm=bool(report.coarse_iterations) or warm_start,
-            watchdog=watchdog,
-        )
+        flat = self._place_flat(design, report, watchdog=watchdog)
         report.final_hpwl = design.hpwl()
         report.final_overflow = flat
         report.runtime_seconds = time.perf_counter() - t0
@@ -180,7 +175,7 @@ class GlobalPlacer:
 
     # ------------------------------------------------------------------
     def _place_flat(
-        self, design: Design, report: GPReport, warm: bool, watchdog=None
+        self, design: Design, report: GPReport, watchdog=None
     ) -> float:
         cfg = self.config
         core = design.core

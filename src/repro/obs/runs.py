@@ -190,18 +190,6 @@ def git_revision(start: str = ".") -> str | None:
 # records
 # ---------------------------------------------------------------------------
 
-#: FlowResult quality scalars copied into ``RunRecord.metrics``.
-_METRIC_FIELDS = (
-    "hpwl_gp",
-    "hpwl_legal",
-    "hpwl_final",
-    "rc",
-    "scaled_hpwl",
-    "total_overflow",
-    "peak_congestion",
-)
-
-
 @dataclass
 class RunRecord:
     """One flow run's summary row (see ``docs/schemas/run-record-*``)."""
@@ -209,7 +197,7 @@ class RunRecord:
     run_id: str
     created: float               # unix timestamp
     design: str
-    flow: str                    # e.g. "ntuplace4h"
+    flow: str                    # the placer: "ntuplace4h", "quadratic", ...
     config_hash: str
     git_rev: str | None = None
     legal: bool = False
@@ -239,24 +227,25 @@ class RunRecord:
     @staticmethod
     def from_flow(result, config, *, flow: str = "ntuplace4h",
                   trace_path: str | None = None) -> "RunRecord":
-        """Build a record from a :class:`FlowResult` and its config."""
-        metrics = {
-            name: float(getattr(result, name, 0.0)) for name in _METRIC_FIELDS
-        }
-        metrics["legal_ok"] = float(bool(result.legal))
+        """Build a record from a :class:`FlowResult` and its config.
+
+        ``metrics`` holds the float scalars of ``result.summary()`` plus
+        ``legal_ok``.
+        """
+        summary = result.summary()
+        metrics = {k: v for k, v in summary.items() if isinstance(v, float)}
+        metrics["legal_ok"] = float(summary["legal"])
         return RunRecord(
-            run_id=new_run_id(result.design_name),
+            run_id=new_run_id(summary["design"]),
             created=time.time(),
-            design=result.design_name,
+            design=summary["design"],
             flow=flow,
             config_hash=config_hash(config),
             git_rev=git_revision(),
-            legal=bool(result.legal),
-            degraded=bool(result.degraded),
-            degradation=[dict(d) for d in result.degradation],
-            stage_seconds={
-                k: float(v) for k, v in result.stage_seconds.items()
-            },
+            legal=summary["legal"],
+            degraded=summary["degraded"],
+            degradation=summary["degradation"],
+            stage_seconds=summary["stage_seconds"],
             metrics=metrics,
             trace_path=trace_path,
         )

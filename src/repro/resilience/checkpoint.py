@@ -48,10 +48,10 @@ class FlowCheckpoint:
     telemetry: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     rng: dict = field(default_factory=dict)
-    # One-time congestion-estimator calibration (pin_norm + supply map)
+    # One-time congestion-estimator calibration (pin_norm + wire_width)
     # shared by every CongestionInflator bound to the design; restoring
     # it keeps a resumed run bit-identical to the uninterrupted one
-    # instead of recomputing the calibration at post-resume positions.
+    # instead of recomputing pin_norm at post-resume positions.
     # Optional (absent in older checkpoints), so the version stays 1.
     calibration: dict = field(default_factory=dict)
     version: int = CHECKPOINT_VERSION
@@ -72,15 +72,6 @@ class FlowCheckpoint:
             node.name: [node.x, node.y, node.orientation.value]
             for node in design.nodes
         }
-        calibration = {}
-        cal = getattr(design, "congestion_calibration", None)
-        if isinstance(cal, dict):
-            for key, value in cal.items():
-                calibration[key] = (
-                    np.asarray(value).tolist()
-                    if isinstance(value, np.ndarray)
-                    else value
-                )
         py_state = random.getstate()
         np_state = np.random.get_state()
         return FlowCheckpoint(
@@ -92,7 +83,7 @@ class FlowCheckpoint:
             result=dict(result),
             telemetry=dict(telemetry or {}),
             config=asdict(config) if config is not None else {},
-            calibration=calibration,
+            calibration=dict(design.congestion_calibration or {}),
             rng={
                 "python": [py_state[0], list(py_state[1]), py_state[2]],
                 "numpy": [
@@ -135,8 +126,9 @@ class FlowCheckpoint:
             net.weight = float(weight)
         if self.calibration:
             cal = dict(self.calibration)
-            if cal.get("supply") is not None:
-                cal["supply"] = np.asarray(cal["supply"], dtype=float)
+            # Older checkpoints also carry the supply map, which the
+            # inflator now derives from the routing spec.
+            cal.pop("supply", None)
             design.congestion_calibration = cal
         rng = self.rng or {}
         if "python" in rng:

@@ -674,18 +674,6 @@ class JobStore:
             self._put(txn, record, "requeue", refund=not count_attempt)
             return record
 
-    def stale_running(self, timeout: float, *,
-                      now: float | None = None) -> list[dict]:
-        """Running jobs whose heartbeat is older than ``timeout`` seconds."""
-        now = time.time() if now is None else float(now)
-        with self._read() as con:
-            rows = con.execute(
-                "SELECT record FROM jobs WHERE state = 'running'"
-                " AND heartbeat IS NOT NULL AND heartbeat < ?",
-                (now - float(timeout),),
-            ).fetchall()
-        return [json.loads(r[0]) for r in rows]
-
     def running(self) -> list[dict]:
         """All currently running jobs."""
         return self.list(state="running")

@@ -96,28 +96,6 @@ class WorkerShutdown(BaseException):
     """Raised on SIGTERM: requeue the active job and exit the loop."""
 
 
-def flow_result_summary(result) -> dict:
-    """The job-record ``result`` object for one completed flow run."""
-    return {
-        "design": result.design_name,
-        "hpwl_gp": float(result.hpwl_gp),
-        "hpwl_legal": float(result.hpwl_legal),
-        "hpwl_final": float(result.hpwl_final),
-        "rc": float(result.rc),
-        "scaled_hpwl": float(result.scaled_hpwl),
-        "total_overflow": float(result.total_overflow),
-        "peak_congestion": float(result.peak_congestion),
-        "legal": bool(result.legal),
-        "degraded": bool(result.degraded),
-        "degradation": [dict(d) for d in result.degradation],
-        "stage_seconds": {
-            k: float(v) for k, v in result.stage_seconds.items()
-        },
-        "resumed_stages": list(result.resumed_stages),
-        "run_id": result.run_id,
-    }
-
-
 def build_design(design_ref: dict):
     """Materialize a job's design from its ``design`` reference."""
     if "suite" in design_ref:
@@ -340,7 +318,7 @@ def run_job(store: JobStore, record: dict, *, settings: dict,
         state.active_job = None
         beat.stop()
         tracer.close_sinks()
-        _store_write(store.finish, job_id, flow_result_summary(result),
+        _store_write(store.finish, job_id, result.summary(),
                      attempt=attempt)
     except JobCancelled:
         state.active_job = None

@@ -1,12 +1,9 @@
 """Tests for placement-quality analytics."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import displacement_stats, net_length_stats
+from repro.analysis import displacement_stats
 from repro.benchgen import BenchmarkSpec, make_benchmark
-from repro.db import Design, Net, Node, Pin
-from repro.geometry import Rect
 from repro.gp import initial_placement
 
 
@@ -18,26 +15,6 @@ def design():
     )
     initial_placement(d)
     return d
-
-
-class TestNetLengthStats:
-    def test_fields(self, design):
-        stats = net_length_stats(design)
-        assert stats["count"] > 0
-        assert stats["median"] <= stats["p90"] <= stats["p99"] <= stats["max"]
-        assert stats["total"] == pytest.approx(design.hpwl(), rel=1e-6)
-
-    def test_empty_design(self):
-        d = Design("e", core=Rect(0, 0, 10, 10))
-        assert net_length_stats(d) == {"count": 0}
-
-    def test_known_values(self):
-        d = Design("k", core=Rect(0, 0, 10, 10))
-        a = d.add_node(Node("a", 1, 1, x=0, y=0))
-        b = d.add_node(Node("b", 1, 1, x=3, y=4))
-        d.add_net(Net("n", pins=[Pin(node=0), Pin(node=1)]))
-        stats = net_length_stats(d)
-        assert stats["mean"] == pytest.approx(7.0)
 
 
 class TestDisplacement:

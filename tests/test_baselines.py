@@ -6,6 +6,10 @@ import pytest
 from repro.baselines import QuadraticConfig, QuadraticPlacer, random_placement, run_baseline_flow
 from repro.benchgen import BenchmarkSpec, make_benchmark
 from repro.db import NodeKind
+from repro.dp import DetailedPlacer
+from repro.flow import FlowConfig, NTUplace4H
+from repro.obs import RunRegistry, Tracer, use_tracer
+from repro.resilience import inject
 
 
 def bench(seed=41, **kw):
@@ -15,6 +19,12 @@ def bench(seed=41, **kw):
     )
     base.update(kw)
     return make_benchmark(BenchmarkSpec(**base))
+
+
+def no_dp() -> FlowConfig:
+    cfg = FlowConfig.wirelength_only()
+    cfg.run_dp = False
+    return cfg
 
 
 class TestRandom:
@@ -81,14 +91,14 @@ class TestQuadratic:
 class TestBaselineFlow:
     def test_quadratic_flow_end_to_end(self):
         d = bench(seed=46)
-        res = run_baseline_flow(d, "quadratic", run_dp=False, route=True)
+        res = run_baseline_flow(d, "quadratic", config=no_dp(), route=True)
         assert res.legal
         assert res.rc >= 0
         assert res.hpwl_final > 0
 
     def test_random_flow_end_to_end(self):
         d = bench(seed=47)
-        res = run_baseline_flow(d, "random", run_dp=False, route=False)
+        res = run_baseline_flow(d, "random", config=no_dp(), route=False)
         assert res.legal
 
     def test_unknown_baseline_raises(self):
@@ -98,7 +108,51 @@ class TestBaselineFlow:
 
     def test_quadratic_beats_random_flow(self):
         dq = bench(seed=49)
-        rq = run_baseline_flow(dq, "quadratic", run_dp=False, route=False)
+        rq = run_baseline_flow(dq, "quadratic", config=no_dp(), route=False)
         dr = bench(seed=49)
-        rr = run_baseline_flow(dr, "random", run_dp=False, route=False)
+        rr = run_baseline_flow(dr, "random", config=no_dp(), route=False)
         assert rq.hpwl_final < rr.hpwl_final
+
+
+class TestOneFlow:
+    """A baseline runs as the GP stage of the main flow, not a second flow."""
+
+    def test_no_dp_config_runs_no_dp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            DetailedPlacer, "run", lambda self, *a, **k: calls.append(a)
+        )
+        res = run_baseline_flow(bench(seed=50), "quadratic", config=no_dp(), route=False)
+        assert calls == []
+        assert "detailed_place" not in res.stage_seconds
+        assert res.gp_report is not None
+
+    def test_legal_fault_falls_back_to_tetris(self):
+        with inject("raise.legal"):
+            res = run_baseline_flow(bench(seed=51), "quadratic", config=no_dp(), route=False)
+        assert res.degraded
+        assert ("legal", "tetris_fallback") in [
+            (e["stage"], e["reason"]) for e in res.degradation
+        ]
+        assert res.legal
+
+    def test_stage_spans(self):
+        with use_tracer(Tracer()) as tracer:
+            run_baseline_flow(bench(seed=52), "random", config=no_dp())
+        paths = {s.path for s in tracer.finished_spans()}
+        assert {"flow/gp", "flow/macro_legal_refine", "flow/legal", "flow/route"} <= paths
+
+    def test_run_records_name_the_placer(self, tmp_path):
+        runs = str(tmp_path / "runs")
+        cfg = no_dp()
+        cfg.runs_dir = runs
+        quadratic = run_baseline_flow(bench(seed=53), "quadratic", config=cfg, route=False)
+        cfg = no_dp()
+        cfg.runs_dir = runs
+        cfg.gp.clustering = False
+        cfg.gp.max_outer_iterations = 4
+        cfg.refine_outer_iterations = 2
+        main_flow = NTUplace4H(cfg).run(bench(seed=53), route=False)
+        registry = RunRegistry(runs)
+        assert registry.get(quadratic.run_id)["flow"] == "quadratic"
+        assert registry.get(main_flow.run_id)["flow"] == "ntuplace4h"

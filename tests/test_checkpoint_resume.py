@@ -170,3 +170,44 @@ class TestResume:
         result = NTUplace4H(cfg2).run(again, resume_from=ckpt_dir)
         assert [net.weight for net in again.nets] == weights_after
         assert result.hpwl_final == first.hpwl_final
+
+
+class TestResultRecord:
+    def test_summary_survives_checkpoint_round_trip(self, tmp_path):
+        ckpt_dir = str(tmp_path / "ck")
+        first = NTUplace4H(fast_flow(ckpt_dir)).run(bench())
+        assert load_checkpoint(ckpt_dir).result == first.summary()
+        result = NTUplace4H(fast_flow()).run(bench(), resume_from=ckpt_dir)
+        expected = dict(first.summary(), resumed_stages=list(FLOW_STAGES))
+        assert result.summary() == expected
+
+    def test_checkpoint_in_older_layout_resumes(self, tmp_path, monkeypatch):
+        # Older checkpoints hold a result without the design, run id and
+        # resumed stages, and a calibration with the supply map.
+        reference = bench()
+        ref = NTUplace4H(fast_flow()).run(reference)
+        ckpt_dir = str(tmp_path / "ck")
+
+        def killed(self, design):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Legalizer, "legalize", killed)
+            with pytest.raises(KeyboardInterrupt):
+                NTUplace4H(fast_flow(ckpt_dir)).run(bench())
+        path = os.path.join(ckpt_dir, "checkpoint.json")
+        data = json.load(open(path))
+        for key in ("design", "run_id", "resumed_stages"):
+            del data["result"][key]
+        data["calibration"]["supply"] = [[0.0]]
+        json.dump(data, open(path, "w"))
+
+        resumed = bench()
+        result = NTUplace4H(fast_flow()).run(resumed, resume_from=ckpt_dir)
+        assert placement_state(resumed) == placement_state(reference)
+        expected = dict(ref.summary(), resumed_stages=["gp", "macro_legal_refine"])
+        actual = result.summary()
+        for summary in (expected, actual):
+            summary.pop("stage_seconds")
+        assert actual == expected
+        assert set(result.stage_seconds) == set(ref.stage_seconds)

@@ -39,6 +39,11 @@ class TestStats:
         assert "consistent" in out
         assert "#cells" in out
 
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        rc = main(["stats", "--aux", str(tmp_path / "missing.aux")])
+        assert rc == 2
+        assert "cannot load" in capsys.readouterr().err
+
 
 class TestPlace:
     def test_place_and_write(self, bench_dir, tmp_path, capsys):
@@ -63,6 +68,22 @@ class TestPlace:
             ]
         )
         assert rc == 0
+
+    def test_place_baseline_honours_no_dp(self, bench_dir, monkeypatch):
+        from repro.dp import DetailedPlacer
+
+        calls = []
+        monkeypatch.setattr(
+            DetailedPlacer, "run", lambda self, *a, **k: calls.append(a)
+        )
+        rc = main(
+            [
+                "place", "--aux", os.path.join(bench_dir, "clitest.aux"),
+                "--baseline", "quadratic", "--no-dp", "--no-route",
+            ]
+        )
+        assert rc == 0
+        assert calls == []
 
 
 class TestValidate:

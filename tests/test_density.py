@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.db import Design, Node, NodeKind
-from repro.density import BellDensity, bell_kernel, density_map, density_overflow
+from repro.density import BellDensity, bell_kernel, density_overflow
 from repro.density.bell import _MAX_WINDOW
 from repro.geometry import Rect
 from repro.grids import BinGrid
@@ -185,12 +185,6 @@ class TestOverflowMetric:
         loose = density_overflow(d, target_density=1.0, nx=8, ny=8)
         tight = density_overflow(d, target_density=0.01, nx=8, ny=8)
         assert tight >= loose
-
-    def test_density_map_shape(self):
-        d = make_design()
-        grid, dm = density_map(d, nx=12, ny=10)
-        assert dm.shape == (12, 10)
-        assert (dm >= 0).all()
 
     def test_no_movables(self):
         d = Design("t", core=Rect(0, 0, 10, 10))

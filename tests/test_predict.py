@@ -372,13 +372,14 @@ class TestCalibrationSharing:
             design, completed=["gp"], score_weights=[], result={},
         )
         data = json.loads(json.dumps(ckpt.as_dict()))  # disk round trip
+        # The supply map is derived from the routing spec, not stored.
+        assert "supply" not in data["calibration"]
         fresh = make_benchmark(small_spec())
         initial_placement(fresh, seed=3)
         FlowCheckpoint.from_dict(data).apply(fresh)
         restored = fresh.congestion_calibration
         assert restored["pin_norm"] == original["pin_norm"]
         assert restored["wire_width"] == original["wire_width"]
-        assert np.array_equal(restored["supply"], original["supply"])
         # Resumed inflator must produce the exact same map.
         a = CongestionInflator(design).congestion_map(arrays, cx, cy)
         b = CongestionInflator(fresh).congestion_map(

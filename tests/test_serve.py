@@ -36,7 +36,7 @@ from repro.serve.schema import (
     new_job_record,
     validate_job_record,
 )
-from repro.serve.worker import build_flow_config, flow_result_summary
+from repro.serve.worker import build_flow_config
 
 SPEC = {"name": "servetest", "num_cells": 40, "seed": 11}
 
@@ -580,7 +580,7 @@ class TestResultSummary:
         result = NTUplace4H(cfg).run(
             make_benchmark(BenchmarkSpec(**SPEC)), route=False
         )
-        summary = flow_result_summary(result)
+        summary = result.summary()
         store = JobStore(tmp_path / "serve")
         job_id = store.submit({"spec": SPEC})["job_id"]
         store.claim(1)
