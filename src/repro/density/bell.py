@@ -24,21 +24,28 @@ Hot-path layout: this is the single most evaluated kernel of global
 placement (every CG line-search probe computes one potential; only
 accepted probes go on to the gradient), so it keeps all window-sweep
 intermediates in preallocated buffers and precomputes the per-node
-kernel coefficients once.  A probe builds
-the x and y windows of all small nodes as one node-minor
-``(kx+ky, n)`` batch, so every elementwise op runs one long inner loop;
-it evaluates the kernel values only, with no beyond-support mask
-(see :meth:`BellDensity._bell_value`) and with off-grid cells sent to
-distance +inf instead of masked afterwards.  It then copies the values
-node-major for the per-node sums, forms the per-bin contributions
-node-minor and scatters them in node-major order with one
-``np.bincount`` (bit-identical to ``np.add.at``, several times faster).
-The kernel derivatives wait for the gradient pass, which reuses the
-probe's kernel sums.  Large nodes are walked with plain-slice views and
-a lean scalar-coefficient kernel.  Every product and sum keeps the
-operands and reduction order of the original allocating implementation,
-kept as a golden twin under ``tests/reference/``, so the two agree to
-the last bit (``tests/test_gp_perf_equiv.py`` and
+kernel coefficients once.  The small-node window sweep runs node-minor
+throughout, one row per window cell and one column per node, so every
+elementwise op and every sum runs one long inner loop.  A probe builds
+the x and y windows of all small nodes as one ``(kx+ky, n)`` batch; it
+evaluates the kernel values only, with no beyond-support mask (see
+:meth:`BellDensity._bell_value`) and with off-grid cells sent to
+distance +inf instead of masked afterwards.  The per-node kernel sums,
+and the gradient's window and derivative sums, go through
+:func:`row_sums`, which replays the order ``ndarray.sum`` gives a
+node's contiguous row on whole node-minor rows.  The per-bin
+contributions are copied once to node-major order and scattered with
+one ``np.bincount`` (bit-identical to ``np.add.at``, several times
+faster), because each bin must sum its cells in node order.  The
+kernel derivatives wait for the gradient pass, which gathers the
+field through a contiguous node-minor window index and reuses the
+probe's kernel sums.  Gathers into buffers pass ``mode="clip"`` (with
+``out``, the default mode gathers into a temporary first), and every
+index they read is in range.  Large nodes are walked with plain-slice
+views and a lean scalar-coefficient kernel.  Every product and sum
+keeps the operands and reduction order of the original allocating
+implementation, kept as a golden twin under ``tests/reference/``, so
+the two agree to the last bit (``tests/test_gp_perf_equiv.py`` and
 ``tests/test_density.py``).
 """
 
@@ -51,6 +58,42 @@ from repro.grids import BinGrid
 # Window sweeps cost O(K^2) vectorized passes; nodes needing more go to the
 # per-node path.
 _MAX_WINDOW = 8
+
+
+def row_sums(table: np.ndarray, out: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """``ndarray.sum`` of each node's row, bit for bit, from a node-minor table.
+
+    ``table`` is ``(K, n)``: column ``i`` holds the K terms of node
+    ``i``'s row.  ``out`` gets, in every bit, what
+    ``np.ascontiguousarray(table.T).sum(axis=1)`` gives, while each step
+    runs one long inner loop over all nodes instead of one K-term loop
+    per node.  ``acc`` is an ``(8, n)`` scratch buffer.
+
+    NumPy reduces a contiguous float64 row from the identity +0.  Below 8
+    terms it adds them left to right.  From 8 terms on it keeps 8
+    interleaved partial sums ``p0..p7``, combines them as
+    ``((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))`` and adds the leftover terms
+    left to right.  The identity turns a -0.0 result into +0.
+    """
+    k = len(table)
+    if k < 8:
+        np.copyto(out, table[0])
+        for row in table[1:]:
+            out += row
+    else:
+        full = k - k % 8
+        np.copyto(acc, table[:8])
+        for i in range(8, full, 8):
+            acc += table[i : i + 8]
+        pairs = acc[0::2]
+        np.add(pairs, acc[1::2], out=pairs)  # p0+p1, p2+p3, p4+p5, p6+p7
+        quads = acc[0::4]
+        np.add(quads, acc[2::4], out=quads)
+        np.add(acc[0], acc[4], out=out)
+        for row in table[full:]:
+            out += row
+    out += 0.0
+    return out
 
 
 def bell_kernel(d, w, wb):
@@ -240,6 +283,11 @@ class BellDensity:
             self._bufs[name] = buf
         return buf
 
+    def _row_sums(self, table: np.ndarray, name: str) -> np.ndarray:
+        """:func:`row_sums` of a node-minor table into buffer ``name``."""
+        n = table.shape[1]
+        return row_sums(table, self._buf(name, (n,)), self._buf("row_acc", (8, n)))
+
     def _arange(self, n: int) -> np.ndarray:
         rng = self._aranges.get(n)
         if rng is None:
@@ -293,14 +341,16 @@ class BellDensity:
         """Window kernels and per-bin contributions of the small nodes.
 
         Every operation is per-node independent.  Returns
-        ``(flat, px, py, norm, contrib)`` with node-major ``(n, k)``
-        kernel tables; the caller owns the scatter of ``contrib`` into the
-        field.  Window cells that fall off the grid get the distance +inf,
-        so their kernel value and derivative are the exact +0 the
-        original kernel masks in; their ``flat`` index is only clamped into
-        range, because a +0 weight leaves every bin sum and every gradient
-        product unchanged wherever it lands.  The kernel derivatives are
-        left to :meth:`_small_grad`.
+        ``(flat, corner, pt, norm, contrib)``: the node-major flat bins
+        and contributions, whose scatter into the field the caller owns,
+        the flat bin of each window's corner, the node-minor
+        ``(kx+ky, n)`` kernel values and the normalization.  Window cells
+        that fall off the grid get the distance +inf, so their kernel
+        value and derivative are the exact +0 the original kernel masks
+        in; their ``flat`` index is only clamped into range, because a +0
+        weight leaves every bin sum and every gradient product unchanged
+        wherever it lands.  The kernel derivatives are left to
+        :meth:`_small_grad`.
         """
         grid = self.grid
         n = len(self._small)
@@ -308,8 +358,8 @@ class BellDensity:
         kt = kx + ky
         # window corner: ceil((c - reach - origin)/pitch - 0.5), per axis
         c = self._buf("c", (2, n))
-        np.take(cx, self._small, out=c[0])
-        np.take(cy, self._small, out=c[1])
+        np.take(cx, self._small, out=c[0], mode="clip")
+        np.take(cy, self._small, out=c[1], mode="clip")
         t = self._buf("t", (2, n))
         np.subtract(c, self._sm_reach, out=t)
         t -= self._sm_origin
@@ -334,17 +384,9 @@ class BellDensity:
         np.copyto(d, np.inf, where=off)
         pt = self._buf("pt", (kt, n))
         self._bell_value(d, self._sm_r1, self._sm_r2, self._sm_a, self._sm_b, pt, "k")
-        # node-major tables: the kernel sums (and the gradient's window
-        # sums) must reduce each node's row exactly as the original does
-        p = self._buf("p", (n, kt))
-        np.copyto(p, pt.T)
-        px = p[:, :kx]
-        py = p[:, kx:]
         # normalization: area / (Sx * Sy), guarded
-        sum_px = self._buf("sum_px", (n,))
-        sum_py = self._buf("sum_py", (n,))
-        px.sum(axis=1, out=sum_px)
-        py.sum(axis=1, out=sum_py)
+        sum_px = self._row_sums(pt[:kx], "sum_px")
+        sum_py = self._row_sums(pt[kx:], "sum_py")
         mass = self._buf("mass", (n,))
         np.multiply(sum_px, sum_py, out=mass)
         if self._areas_small is None:
@@ -373,7 +415,7 @@ class BellDensity:
         np.multiply(nxt[:, None, :], pt[None, kx:], out=ct)
         contrib = self._buf("contrib", (n, kx * ky))
         np.copyto(contrib.reshape(n, kx, ky), ct.transpose(2, 0, 1))
-        return flat, px, py, norm, contrib
+        return flat, corner, pt, norm, contrib
 
     def potential(self, cx: np.ndarray, cy: np.ndarray):
         """The bin potential field and the per-node kernel tables.
@@ -385,12 +427,12 @@ class BellDensity:
         small_tables = None
         phi = None
         if len(self._small):
-            flat, px, py, norm, contrib = self._small_window(cx, cy)
+            flat, corner, pt, norm, contrib = self._small_window(cx, cy)
             phi = np.bincount(
                 flat.reshape(-1), weights=contrib.reshape(-1),
                 minlength=grid.nx * grid.ny,
             ).reshape(grid.nx, grid.ny)
-            small_tables = (self._small, flat, px, py, norm)
+            small_tables = (self._small, corner, pt, norm)
         if phi is None:
             phi = grid.zeros()
         return phi, small_tables, self._large_batch(phi, cx, cy)
@@ -527,41 +569,45 @@ class BellDensity:
 
         Builds the kernel derivatives of the last :meth:`_small_window`
         call (rejected line-search probes never need them) and reuses its
-        kernel sums.  Row-independent like :meth:`_small_window`; the
-        caller scatters the rows into the full gradient vectors.
+        kernel sums.  Node-minor like :meth:`_small_window`: the field,
+        the window products and the derivatives have one row per window
+        cell, and every sum over a node's window goes through
+        :func:`row_sums`.  The caller scatters the rows into the full
+        gradient vectors.
         """
-        _idx, flat, px, py, norm = small_tables
+        _idx, corner, pt, norm = small_tables
         n = len(norm)
+        grid = self.grid
         kx, ky = self._kx, self._ky
         dpt = self._buf("dpt", (kx + ky, n))
         self._bell_slope(self._bufs["d"], self._sm_m2a, self._sm_b2, dpt, "k")
-        dp = self._buf("dp", (n, kx + ky))
-        np.copyto(dp, dpt.T)
-        dpx = dp[:, :kx]
-        dpy = dp[:, kx:]
-        field = self._buf("field", (n, kx, ky))
-        np.take(psi.reshape(-1), flat.reshape(n, kx, ky), out=field)  # one gather
-        fy = self._buf("fy", (n, kx, ky))
-        np.multiply(field, py[:, None, :], out=fy)
-        t3 = self._buf("t3", (n, kx, ky))
-        gx = self._buf("gx", (n,))
-        gy = self._buf("gy", (n,))
-        gpp = self._buf("gpp", (n,))
-        np.multiply(fy, dpx[:, :, None], out=t3)
-        t3.sum(axis=(1, 2), out=gx)
-        np.multiply(fy, px[:, :, None], out=t3)
-        t3.sum(axis=(1, 2), out=gpp)
-        np.multiply(field, px[:, :, None], out=t3)
-        t3 *= dpy[:, None, :]
-        t3.sum(axis=(1, 2), out=gy)
+        px, py = pt[:kx], pt[kx:]
+        dpx, dpy = dpt[:kx], dpt[kx:]
+        # window bins as a contiguous node-minor index, clamped like the
+        # probe's flat index, for one gather of the field
+        win = self._buf("gwin", (kx * ky, n), dtype=np.int64)
+        np.add(corner, self._sm_flat_step[:, None], out=win)
+        win_u = win.view(np.uint64)
+        np.minimum(win_u, np.uint64(grid.nx * grid.ny - 1), out=win_u)
+        field = self._buf("field", (kx, ky, n))
+        np.take(psi.reshape(-1), win.reshape(kx, ky, n), out=field, mode="clip")
+        fy = self._buf("fy", (kx, ky, n))
+        np.multiply(field, py[None, :, :], out=fy)
+        t3 = self._buf("t3", (kx, ky, n))
+        cells = t3.reshape(kx * ky, n)
+        np.multiply(fy, dpx[:, None, :], out=t3)
+        gx = self._row_sums(cells, "gx")
+        np.multiply(fy, px[:, None, :], out=t3)
+        gpp = self._row_sums(cells, "gpp")
+        np.multiply(field, px[:, None, :], out=t3)
+        t3 *= dpy[None, :, :]
+        gy = self._row_sums(cells, "gy")
         sum_px = self._buf("g_sum_px", (n,))
         sum_py = self._buf("g_sum_py", (n,))
         np.maximum(self._bufs["sum_px"], 1e-30, out=sum_px)
         np.maximum(self._bufs["sum_py"], 1e-30, out=sum_py)
-        sum_dpx = self._buf("sum_dpx", (n,))
-        sum_dpy = self._buf("sum_dpy", (n,))
-        dpx.sum(axis=1, out=sum_dpx)
-        dpy.sum(axis=1, out=sum_dpy)
+        sum_dpx = self._row_sums(dpx, "sum_dpx")
+        sum_dpy = self._row_sums(dpy, "sum_dpy")
         # grad = 2*norm*(g - gpp*sum_dp/sum_p), assembled in buffers
         n2 = self._buf("n2", (n,))
         np.multiply(2.0, norm, out=n2)

@@ -195,7 +195,10 @@ class _ReferenceSmooth:
 
     Mixed in ahead of the WA/LSE classes, so their buffered evaluation
     methods are shadowed by these; the per-axis ``_axis_value_grad`` of
-    each subclass below is that model's original kernel.
+    each subclass below is that model's original kernel.  ``_bind`` and
+    the per-net reductions are the originals too: the twin computes on
+    the pin-table (CSR) layout with ``np.*.reduceat`` and never builds or
+    reads the optimized model's degree-major table.
     """
 
     def __init__(self, arrays, num_nodes: int, gamma: float):
@@ -204,6 +207,32 @@ class _ReferenceSmooth:
         self.num_nodes = int(num_nodes)
         self.gamma = float(gamma)
         self._bind(arrays, compact_pins_reference(arrays.net_ptr, arrays.net_weight))
+
+    def _bind(self, arrays, comp: _Compaction) -> None:
+        self.arrays = arrays
+        self._comp = comp
+        self._active = comp.active
+        self._starts = comp.starts
+        self._weights = comp.weights
+        self._pin_sel = comp.pin_sel
+        self._pin_net = comp.pin_net
+        self._cstarts = comp.cstarts
+        self._pin_node = arrays.pin_node[self._pin_sel]
+        self._pin_dx = arrays.pin_dx[self._pin_sel]
+        self._pin_dy = arrays.pin_dy[self._pin_sel]
+        # Per-pin net weight, constant over positions.
+        self._wpin = self._weights[self._pin_net] if len(self._starts) else None
+        self._bufs: dict = {}
+        self._probe = None
+
+    def _net_max(self, p):
+        return np.maximum.reduceat(p, self._cstarts)
+
+    def _net_min(self, p):
+        return np.minimum.reduceat(p, self._cstarts)
+
+    def _net_sum(self, p):
+        return np.add.reduceat(p, self._cstarts)
 
     def rebind(self, arrays):
         """The placer's model rebuild after an orientation change: a

@@ -5,7 +5,7 @@ import pytest
 
 from repro.db import Design, Node, NodeKind
 from repro.density import BellDensity, bell_kernel, density_overflow
-from repro.density.bell import _MAX_WINDOW
+from repro.density.bell import _MAX_WINDOW, row_sums
 from repro.geometry import Rect
 from repro.grids import BinGrid
 from repro.wirelength import finite_difference_gradient
@@ -277,3 +277,35 @@ class TestOptimizedMatchesReference:
         np.testing.assert_array_equal(f, fr)
         np.testing.assert_array_equal(gx, gxr)
         np.testing.assert_array_equal(gy, gyr)
+
+
+def bits(a):
+    """The raw bits of a float64 array, so signed zeros and NaNs count."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestRowSums:
+    """``row_sums`` on a node-minor table replays ``ndarray.sum`` of each
+    node's contiguous row, bit for bit."""
+
+    @pytest.mark.parametrize("k", range(1, _MAX_WINDOW * _MAX_WINDOW + 1))
+    def test_matches_ndarray_sum_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        n = 40
+        table = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-12, 13, (k, n))
+        table[:, 0] = -0.0  # an all -0.0 row sums to +0
+        table[:, 1] = 0.0
+        table[::2, 1] = -0.0
+        table[rng.integers(k), 2] = np.inf
+        table[rng.integers(k), 3] = -np.inf
+        table[rng.integers(k), 4] = np.nan
+        table[0, 5] = np.inf
+        table[-1, 5] = -np.inf  # inf - inf, or +inf alone when k == 1
+        table[:, 6] = rng.choice([-1.0, 1.0], k) * 2.0**60  # cancellation
+        table[: k // 2, 7] = -0.0
+        table[k // 2 :, 7] = rng.standard_normal(k - k // 2)
+        with np.errstate(invalid="ignore"):
+            expected = np.ascontiguousarray(table.T).sum(axis=1)
+            out = row_sums(table, np.empty(n), np.empty((8, n)))
+        np.testing.assert_array_equal(bits(out), bits(expected))
+        assert bits(out)[0] == bits(0.0)

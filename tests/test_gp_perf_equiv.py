@@ -22,6 +22,7 @@ from repro.geometry import Rect
 from repro.gp import GPConfig, GlobalPlacer, optimize_macro_orientations
 from repro.grids import BinGrid
 from repro.optim import minimize_cg
+from repro.wirelength import smooth
 from repro.wirelength.smooth import compaction_for, make_model
 from tests.quality import assert_quality
 from tests.reference import GP_TWINS, use_reference
@@ -58,6 +59,17 @@ def bench(seed=11, cells=200, macros=2, **kw):
         num_terminals=8, seed=seed, **kw,
     )
     return make_benchmark(spec)
+
+
+def bits(a):
+    """The raw bits of float64 values, so signed zeros count."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_same_bits(a, b):
+    """Equal value-and-gradient triples, bit for bit."""
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(bits(x), bits(y))
 
 
 def positions(design: Design):
@@ -159,6 +171,59 @@ class TestWirelengthEquivalence:
         fo, gxo, gyo = opt.value_grad(cx, cy)
         assert fr == fo
         assert np.array_equal(gxr, gxo) and np.array_equal(gyr, gyo)
+
+    @pytest.mark.parametrize("kind", ["wa", "lse"])
+    def test_rebind_takes_new_net_weights(self, kind):
+        # A weight-only change gives a new table that shares ``net_ptr``
+        # with the old one, so rebind keeps the topology; the weights
+        # must still be the new table's.
+        d = bench(seed=3)
+        cx, cy = d.pull_centers()
+        opt = make_model(kind, d.pin_arrays(), len(d.nodes), 8.0)
+        before = opt.value(cx, cy)
+        d.nets[0].weight = 5.0
+        arrays = d.pin_arrays()
+        assert arrays.net_ptr is opt.arrays.net_ptr
+        opt.rebind(arrays)
+        fresh = make_model(kind, arrays, len(d.nodes), 8.0)
+        twin = make_model_reference(kind, arrays, len(d.nodes), 8.0)
+        expected = twin.value_grad(cx, cy)
+        assert expected[0] != before
+        assert_same_bits(opt.value_grad(cx, cy), expected)
+        assert_same_bits(fresh.value_grad(cx, cy), expected)
+        assert bits(opt.value(cx, cy)) == bits(expected[0])
+
+    @pytest.mark.parametrize("kind", ["wa", "lse"])
+    def test_twin_never_touches_degree_major_table(self, kind, monkeypatch):
+        # The twin keeps the pin-table layout and reduceat: with every
+        # degree-major table replaced by one that raises on use, the
+        # optimized model fails and the twin still gives its results.
+        class TableRead(Exception):
+            pass
+
+        class Untouchable:
+            def __init__(self, *args):
+                pass
+
+            def __getattr__(self, name):
+                raise TableRead(name)
+
+        d = bench(seed=3, cells=300)
+        cx, cy = d.pull_centers()
+        expected = make_model(kind, d.pin_arrays(), len(d.nodes), 8.0).value_grad(cx, cy)
+        monkeypatch.setattr(smooth, "_DegreeMajor", Untouchable)
+        d.netlist_changed()  # a fresh pin table, so no cached compaction
+        arrays = d.pin_arrays()
+        with pytest.raises(TableRead):
+            make_model(kind, arrays, len(d.nodes), 8.0)
+        twin = make_model_reference(kind, arrays, len(d.nodes), 8.0)
+        twin._comp.degree_major = Untouchable()
+        assert_same_bits(twin.value_grad(cx, cy), expected)
+        f = twin.value_probe(cx, cy)
+        assert_same_bits((f, *twin.finish_grad()), expected)
+        assert bits(twin.value(cx, cy)) == bits(expected[0])
+        twin.rebind(arrays)
+        assert_same_bits(twin.value_grad(cx, cy), expected)
 
 
 def _density_pair(design, grid_bins=256):

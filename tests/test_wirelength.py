@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Design, Net, Node, Pin
+from repro.db.design import PinArrays
 from repro.geometry import Rect
 from repro.wirelength import (
     LogSumExp,
@@ -272,3 +273,82 @@ class TestPropertyBased:
         v0 = model.value(cx, cy)
         v1 = model.value(cx + dx, cy + dy)
         assert v1 == pytest.approx(v0, abs=1e-6)
+
+
+def bits(a):
+    """The raw bits of a float64 array, so signed zeros count."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestDegreeMajorReductions:
+    """The degree-major net max, min and sum equal ``np.maximum``,
+    ``np.minimum`` and ``np.add`` ``.reduceat`` on the pin table, bit for
+    bit, for nets on both sides of the 9 pins where NumPy's sum order
+    changes."""
+
+    @staticmethod
+    def model_and_pins(counts, rng):
+        """A WA model over nets of ``counts`` pins in that order (with
+        single-pin and empty nets between them, which the compaction
+        drops), and per-pin values in pin-table order."""
+        counts = np.asarray(counts)
+        sizes = np.insert(counts, rng.integers(0, len(counts), 6), [1, 0, 1, 1, 0, 1])
+        net_ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=net_ptr[1:])
+        pins = int(net_ptr[-1])
+        arrays = PinArrays(
+            rng.integers(0, 30, pins).astype(np.int32),
+            np.zeros(pins),
+            np.zeros(pins),
+            net_ptr,
+            np.ones(len(sizes)),
+        )
+        model = WeightedAverage(arrays, 30, 1.0)
+        total = int(counts.sum())
+        values = rng.standard_normal(total) * 10.0 ** rng.integers(-6, 7, total)
+        values[rng.integers(0, total, total // 5)] = 0.0
+        values[rng.integers(0, total, total // 5)] = -0.0
+        values[rng.integers(0, total, total // 10)] = values[0]  # ties
+        return model, values
+
+    def assert_reductions_match(self, counts, seed):
+        rng = np.random.default_rng(seed)
+        model, values = self.model_and_pins(counts, rng)
+        cstarts = model._comp.cstarts
+        dm = model._dm
+        p = values[dm.sel]
+        for mine, ufunc in (
+            (model._net_max(p), np.maximum),
+            (model._net_min(p), np.minimum),
+            (model._net_sum(p), np.add),
+        ):
+            expected = ufunc.reduceat(values, cstarts)
+            np.testing.assert_array_equal(bits(mine[dm.rank]), bits(expected), ufunc.__name__)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nets_of_2_to_40_pins_in_shuffled_order(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        counts = rng.permutation(np.repeat(np.arange(2, 41), 3))
+        self.assert_reductions_match(counts, seed)
+
+    def test_partial_sum_blocks_and_leftovers(self):
+        # after the first pin, 17, 25 and 33 pins leave whole blocks of 8
+        # partial sums, 24 pins leave 7 over
+        rng = np.random.default_rng(7)
+        counts = rng.permutation([17, 24, 25, 33, 17, 24, 25, 33, 2, 3, 8, 9])
+        self.assert_reductions_match(counts, 7)
+
+    def test_two_pin_nets_only(self):
+        self.assert_reductions_match([2] * 50, 11)
+
+    def test_all_negative_zero_nets(self):
+        # reduceat keeps -0.0 for a net of -0.0 pins: the first pin plus
+        # the others, summed from -0.0
+        rng = np.random.default_rng(3)
+        counts = [2, 5, 8, 9, 12]
+        model, _ = self.model_and_pins(counts, rng)
+        values = np.full(sum(counts), -0.0)
+        dm = model._dm
+        mine = model._net_sum(values[dm.sel])
+        expected = np.add.reduceat(values, model._comp.cstarts)
+        np.testing.assert_array_equal(bits(mine[dm.rank]), bits(expected))
