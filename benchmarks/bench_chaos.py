@@ -60,9 +60,13 @@ from repro.serve.journal import JobJournal, check_invariants
 from repro.serve.schema import TERMINAL_STATES
 from repro.serve.store import JobStore
 
-#: The tiny-job template: small and stage-complete.
+#: The tiny-job template: small and stage-complete.  The GP budget also
+#: caps the refine after macro legalization (40% of it), and a job must
+#: run long enough (about 0.5 s here) for the kill and restart schedule,
+#: which starts 1-3 s in, and the restart drill's 0.5 s drain deadline
+#: to find work in flight: 12 outer iterations give 12 GP + 4 refine.
 JOB_CELLS = 40
-JOB_GP_ITERS = 3
+JOB_GP_ITERS = 12
 
 #: Result fields that must be bit-identical to the fault-free reference.
 RESULT_FIELDS = (

@@ -6,18 +6,20 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.dp.hpwl_delta import IncrementalHPWL
 from repro.dp.matching import matching_pass
 from repro.dp.reorder import local_reorder_pass
+from repro.dp.spreading import congestion_spread_pass
 from repro.dp.swap import global_swap_pass, vertical_swap_pass
 from repro.obs import get_tracer
-from repro.route.rudy import rudy_map
+from repro.route.rudy import rudy_congestion
 
 # The congestion gate rejects a move whose destination tile's estimated
 # congestion exceeds this (and the source tile's by a margin).
 CONGESTION_GATE_THRESHOLD = 0.9
+# The rounds stop once one gains less than this fraction of the
+# starting HPWL.
+MIN_GAIN_PER_ROUND = 1e-6
 
 
 @dataclass
@@ -25,15 +27,11 @@ class DPConfig:
     """Knobs of :class:`DetailedPlacer`."""
 
     rounds: int = 2
-    # Congestion gating: moves into tiles whose estimated congestion
-    # exceeds CONGESTION_GATE_THRESHOLD are rejected (requires
-    # design.routing).
+    # Congestion awareness (requires design.routing): moves into tiles
+    # whose estimated congestion exceeds CONGESTION_GATE_THRESHOLD are
+    # rejected, and after the wirelength passes cells are evacuated from
+    # hot tiles into cool whitespace (congestion_spread_pass).
     congestion_aware: bool = True
-    # Congestion-driven spreading: evacuate cells from hot tiles into
-    # cool whitespace after the wirelength passes (congestion_aware only).
-    congestion_spread: bool = True
-    spread_threshold: float = 0.9
-    min_gain_per_round: float = 1e-6
 
 
 @dataclass
@@ -112,23 +110,15 @@ class DetailedPlacer:
                 with tracer.span("matching"):
                     acc, gain = matching_pass(design, inc, gate=gate)
                 round_gain += note("matching", acc, gain)
-            if round_gain < cfg.min_gain_per_round * max(report.hpwl_before, 1.0):
+            if round_gain < MIN_GAIN_PER_ROUND * max(report.hpwl_before, 1.0):
                 break
         if (
             cfg.congestion_aware
-            and cfg.congestion_spread
             and design.routing is not None
             and not report.budget_exhausted
         ):
-            from repro.dp.spreading import congestion_spread_pass
-
             with tracer.span("congestion_spread"):
-                moves, delta = congestion_spread_pass(
-                    design,
-                    submap,
-                    inc,
-                    threshold=cfg.spread_threshold,
-                )
+                moves, delta = congestion_spread_pass(design, submap, inc)
             note("congestion_spread", moves, -delta)
         report.hpwl_after = design.hpwl()
         report.runtime_seconds = time.perf_counter() - t0
@@ -139,14 +129,7 @@ class DetailedPlacer:
         if design.routing is None:
             return None
         grid = design.routing.grid
-        arrays = design.pin_arrays()
-        cx, cy = design.pull_centers()
-        demand = rudy_map(arrays, cx, cy, grid)
-        supply = (
-            design.routing.hcap * grid.bin_h + design.routing.vcap * grid.bin_w
-        ) / grid.bin_area
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cong = np.where(supply > 0, demand / np.maximum(supply, 1e-12), 0.0)
+        cong = rudy_congestion(design)
         threshold = CONGESTION_GATE_THRESHOLD
         # Scalar tile lookup: identical arithmetic to BinGrid.index_of
         # (floor + clamp on the same float64 expressions) without the

@@ -198,35 +198,7 @@ class IncrementalHPWL:
         """
         if not moves:
             return 0.0
-        nets = self._affected_nets([idx for idx, _, _ in moves])
-        nets = nets[self._net_deg[nets] >= 2]
-        if not nets.size:
-            return 0.0
-        deg = self._net_deg[nets]
-        pins = _multi_arange(self.net_ptr[nets], deg)
-        bpx = self.px[pins]
-        bpy = self.py[pins]
-        for idx, nx, ny in moves:
-            # ``pins`` is strictly increasing (ranges of ascending nets)
-            # and covers every >=2-pin net of the moved nodes.
-            dirty, ddx, ddy = self._dirty_of(idx)
-            if dirty.size:
-                pos = pins.searchsorted(dirty)
-                bpx[pos] = nx + ddx
-                bpy[pos] = ny + ddy
-        bounds = np.zeros(len(nets), dtype=np.int64)
-        np.cumsum(deg[:-1], out=bounds[1:])
-        xl = np.minimum.reduceat(bpx, bounds)
-        xh = np.maximum.reduceat(bpx, bounds)
-        yl = np.minimum.reduceat(bpy, bounds)
-        yh = np.maximum.reduceat(bpy, bounds)
-        bb = self._bb[nets]
-        before = (bb[:, 1] - bb[:, 0]) + (bb[:, 3] - bb[:, 2])
-        terms = self.weights[nets] * (((xh - xl) + (yh - yl)) - before)
-        delta = 0.0
-        for t in terms.tolist():  # sequential, ascending net order
-            delta += t
-        return float(delta)
+        return float(self._score_general([moves])[0])
 
     def score_moves(self, move_sets) -> np.ndarray:
         """Batched :meth:`delta_for_moves` over many candidate move sets.

@@ -20,25 +20,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.db import NodeKind
-from repro.route.rudy import rudy_map
-
-
-def _free_intervals(design, sr):
-    """Maximal free intervals of a sub-row, from its current cells."""
-    cells = sorted(sr.cells, key=lambda i: design.nodes[i].x)
-    out = []
-    cursor = sr.x_min
-    for idx in cells:
-        node = design.nodes[idx]
-        if node.x > cursor + 1e-9:
-            out.append((cursor, node.x))
-        cursor = max(cursor, node.x + node.placed_width)
-    if cursor < sr.x_max - 1e-9:
-        out.append((cursor, sr.x_max))
-    return out
+from repro.legal.subrows import free_intervals
+from repro.route.rudy import rudy_congestion
 
 
 def congestion_spread_pass(
@@ -86,14 +70,7 @@ def _spread(
 ) -> tuple:
     """The spreading scan behind :func:`congestion_spread_pass`."""
     grid = design.routing.grid
-    arrays = design.pin_arrays()
-    cx, cy = design.pull_centers()
-    demand = rudy_map(arrays, cx, cy, grid)
-    supply = (
-        design.routing.hcap * grid.bin_h + design.routing.vcap * grid.bin_w
-    ) / grid.bin_area
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cong = np.where(supply > 0, demand / np.maximum(supply, 1e-12), 0.0)
+    cong = rudy_congestion(design)
 
     if max_distance is None:
         max_distance = 0.25 * max(design.core.width, design.core.height)
@@ -146,7 +123,7 @@ def _spread(
         key = id(sr)
         got = interval_cache.get(key)
         if got is None:
-            got = interval_cache[key] = _free_intervals(design, sr)
+            got = interval_cache[key] = free_intervals(design, sr)
         return got
 
     cool = threshold * 0.9

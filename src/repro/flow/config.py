@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.dp import DPConfig
 from repro.gp import GPConfig
-from repro.legal import LegalConfig
 
 
 @dataclass
@@ -15,10 +14,6 @@ class FlowConfig:
 
     gp: GPConfig = field(default_factory=GPConfig)
     dp: DPConfig = field(default_factory=DPConfig)
-    legal: LegalConfig = field(default_factory=LegalConfig)
-    # Outer-iteration cap of the cell-only GP refinement that follows
-    # mid-flow macro legalization (on designs with macros).
-    refine_outer_iterations: int = 16
     run_dp: bool = True
     macro_channel: float = 0.0  # clearance reserved around macros
     # Congestion-driven net weighting between GP and the refinement pass
@@ -32,12 +27,8 @@ class FlowConfig:
     route_maze_rounds: int = 3
     route_max_maze_nets: int = 1500  # per-round cap on maze reroutes
 
-    # Resilience (see docs/robustness.md).
-    # Validate the design at flow entry and refuse to run on fatal issues.
-    validate_input: bool = True
-    # Repair fixable issues in place (zero-area cells, stray pins, empty
-    # nets, fence rects outside the core, off-chip terminals).
-    sanitize: bool = True
+    # Resilience (see docs/robustness.md).  The flow always validates
+    # the design at entry, repairs fixable issues and refuses fatal ones.
     # Write a resumable checkpoint.json here after every completed stage.
     checkpoint_dir: str | None = None
     # Soft per-stage time budgets in seconds, keyed by stage name

@@ -4,7 +4,7 @@ Besides the happy path (GP -> macro legal + refine -> legalization ->
 DP -> routing), the flow carries the resilience machinery of
 ``repro.resilience`` (see ``docs/robustness.md``):
 
-* designs are validated (and optionally sanitized) at entry;
+* designs are validated and sanitized at entry;
 * every stage is wrapped so failures degrade instead of crash — GP falls
   back to the spread initial placement, legalization retries in
   Tetris-only mode, routing falls back to RUDY-estimated congestion
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from repro.db import Design
 from repro.dp import DetailedPlacer
 from repro.flow.config import FlowConfig
-from repro.gp import GlobalPlacer, GPConfig, GPReport
+from repro.gp import GlobalPlacer, GPReport
 from repro.gp.initial import initial_placement
 from repro.legal import Legalizer, legalize_macros
 from repro.legal.subrows import SubRowMap
@@ -194,17 +194,14 @@ class NTUplace4H:
 
         # Validation runs before checkpoint restore so a resumed run sees
         # the same (sanitized) topology the checkpoint was written against.
-        if cfg.validate_input:
-            with tracer.span("validate"):
-                vreport = validate_design(design, sanitize=cfg.sanitize)
-                result.validation = vreport
-                if not vreport.ok:
-                    raise DesignValidationError(vreport)
-            if not vreport.clean:
-                _log.warning(
-                    "design %s: %s", design.name, vreport.summary()
-                )
-                tracer.event("flow.validation", **vreport.counts())
+        with tracer.span("validate"):
+            vreport = validate_design(design, sanitize=True)
+            result.validation = vreport
+            if not vreport.ok:
+                raise DesignValidationError(vreport)
+        if not vreport.clean:
+            _log.warning("design %s: %s", design.name, vreport.summary())
+            tracer.event("flow.validation", **vreport.counts())
 
         completed: list = []
         score_weights = [net.weight for net in design.nets]
@@ -333,8 +330,7 @@ class NTUplace4H:
                     maybe_raise("raise.legal")
                     with tracer.span("legal"):
                         legal_result = Legalizer(
-                            cfg.legal,
-                            macro_channel=cfg.macro_channel,
+                            macro_channel=cfg.macro_channel
                         ).legalize(design)
                 except Exception as exc:
                     degrade(
@@ -345,7 +341,6 @@ class NTUplace4H:
                     try:
                         with tracer.span("legal_fallback"):
                             legal_result = Legalizer(
-                                cfg.legal,
                                 macro_channel=cfg.macro_channel,
                                 tetris_only=True,
                             ).legalize(design)
@@ -498,14 +493,10 @@ class NTUplace4H:
             apply_congestion_net_weights(design, cmap)
         legalize_macros(design, channel=cfg.macro_channel)
         if design.macro_mask().any():
-            refine_cfg = GPConfig(**vars(cfg.gp))
-            refine_cfg.freeze_macros = True
-            refine_cfg.clustering = False
-            refine_cfg.max_outer_iterations = cfg.refine_outer_iterations
-            refiner = GlobalPlacer(refine_cfg)
+            refiner = GlobalPlacer(cfg.gp)
             refiner.metric_prefix = "gp.refine"
             with tracer.span("refine"):
-                refiner.place(design, warm_start=True)
+                refiner.place(design, refine=True)
 
     @staticmethod
     def _legal_stage_failed(result: FlowResult) -> bool:

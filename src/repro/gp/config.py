@@ -11,20 +11,17 @@ class GPConfig:
 
     Defaults reproduce the paper's flow: WA wirelength, routability
     machinery on, hierarchy-aware clustering on for large designs.  The
-    penalty, step and inflation schedule constants live beside their
-    reader in :mod:`repro.gp.placer`.
+    penalty, step, inflation and phase schedule constants live beside
+    their reader in :mod:`repro.gp.placer`.
     """
 
     # Wirelength model: "wa" (paper) or "lse" (baseline for Table 4).
     wirelength_model: str = "wa"
 
-    # Density target per bin; None: average utilization.
-    target_density: float | None = None
-
-    # Penalty schedule.
+    # Penalty schedule: the outer-iteration budget every phase (coarse
+    # levels, flat level, post-macro refine) takes its share of.
     max_outer_iterations: int = 40
     inner_iterations: int = 24
-    overflow_target: float = 0.06  # stop when density overflow falls below
 
     # Routability.
     routability: bool = True
@@ -46,14 +43,9 @@ class GPConfig:
 
     # Mixed-size.
     optimize_orientations: bool = True
-    # Treat movable macros as fixed obstacles (the cell-only GP phase run
-    # after mid-flow macro legalization).
-    freeze_macros: bool = False
 
-    # Clustering (multilevel V-cycle).
+    # Clustering (multilevel V-cycle) on designs large enough for it.
     clustering: bool = True
-    cluster_min_nodes: int = 3000  # skip clustering below this size
-    cluster_max_levels: int = 2  # how deep the V-cycle may recurse
 
     # Misc.
     seed: int = 7

@@ -67,12 +67,7 @@ class CongestionInflator:
         w, h = design.placed_sizes()
         self.base_areas = w * h
         self.factors = np.ones(len(design.nodes))
-        grid = self.spec.grid
-        # Tracks crossing the tile per unit area.
-        self.supply = (
-            (self.spec.hcap * grid.bin_h + self.spec.vcap * grid.bin_w)
-            / grid.bin_area
-        )
+        self.supply = self.spec.supply_density()
         # Average pin demand contribution, calibrated once per design
         # (only valid for the wire width it was measured with) and
         # shared through ``design.congestion_calibration``: every

@@ -47,7 +47,12 @@ RESERVATION_FLOOR = 0.6  # minimum density-target scale over starved bins
 FENCE_WEIGHT_INITIAL_RATIO = 0.5  # mu0 * |grad F| ~ ratio * |grad WL|
 FENCE_WEIGHT_GROWTH = 1.6
 ORIENTATION_INTERVAL = 6  # outer iterations between orientation passes
-COARSE_ITERATION_FRACTION = 0.5  # share of outer iterations at coarse level
+OVERFLOW_TARGET = 0.06  # stop once density overflow falls below
+COARSE_OVERFLOW_TARGET = 0.15  # looser: the fine levels do the precise work
+CLUSTER_LEVELS = 2  # how deep the V-cycle may recurse
+CLUSTER_MIN_NODES = 3000  # cluster only designs with this many movables
+COARSE_ITERATION_FRACTION = 0.5  # a coarse level's share of its parent's cap
+REFINE_ITERATION_FRACTION = 0.4  # the post-macro refine's share (16 of 40)
 
 
 @dataclass
@@ -56,8 +61,6 @@ class IterationStats:
 
     outer: int
     hpwl: float
-    smooth_wl: float
-    density: float
     overflow: float
     lam: float
     mean_inflation: float
@@ -108,9 +111,9 @@ class GPReport:
 class GlobalPlacer:
     """Analytical global placement over a :class:`~repro.db.Design`."""
 
-    # Namespace for this placer's metric series ("gp.hpwl", ...).  The
-    # coarse V-cycle and the flow's post-macro refinement pass override
-    # it so their samples don't interleave with the main trajectory.
+    # Namespace for this placer's metric series ("gp.hpwl", ...).  Coarse
+    # levels add ".coarse", and the flow's refine placer is "gp.refine",
+    # so the trajectories of one run don't interleave.
     metric_prefix = "gp"
 
     def __init__(self, config: GPConfig | None = None):
@@ -118,69 +121,86 @@ class GlobalPlacer:
 
     # ------------------------------------------------------------------
     def place(
-        self, design: Design, *, warm_start: bool = False, watchdog=None
+        self, design: Design, *, refine: bool = False, watchdog=None
     ) -> GPReport:
         """Run global placement, mutating node positions in ``design``.
+
+        ``refine=True`` runs the cells-only phase that follows macro
+        legalization: it starts from the current positions, never
+        clusters, holds the macros as fixed obstacles, runs no
+        orientation pass, and stops at ``REFINE_ITERATION_FRACTION`` of
+        ``max_outer_iterations``.
 
         ``watchdog`` is an optional :class:`repro.resilience.StageWatchdog`;
         when its budget expires the outer loop winds down at the next
         iteration boundary and the report is marked ``budget_exhausted``.
         """
         cfg = self.config
-        tracer = get_tracer()
         t0 = time.perf_counter()
         report = GPReport()
-        movable = design.movable_indices()
-        if len(movable) == 0:
+        if len(design.movable_indices()) == 0:
             report.runtime_seconds = time.perf_counter() - t0
             return report
 
-        if not warm_start:
-            with tracer.span("initial"):
-                initial_placement(design, seed=cfg.seed)
-
-        if (
-            cfg.clustering
-            and cfg.cluster_max_levels > 0
-            and len(movable) >= cfg.cluster_min_nodes
-        ):
-            with tracer.span("coarse", level=cfg.cluster_max_levels):
-                clustered = cluster_design(design)
-                coarse_placer = GlobalPlacer(self._coarse_config())
-                coarse_placer.metric_prefix = self.metric_prefix + ".coarse"
-                coarse_report = coarse_placer.place(clustered.coarse)
-                # Surface the deepest level's trajectory for inspection.
-                report.coarse_iterations = (
-                    coarse_report.coarse_iterations or coarse_report.iterations
-                )
-                clustered.transfer_positions()
-
-        flat = self._place_flat(design, report, watchdog=watchdog)
+        prefix = self.metric_prefix
+        if refine:
+            cap = max(1, int(cfg.max_outer_iterations * REFINE_ITERATION_FRACTION))
+            flat = self._place_flat(
+                design, report, cap, OVERFLOW_TARGET, prefix, refine=True, watchdog=watchdog
+            )
+        else:
+            cap = cfg.max_outer_iterations
+            flat = self._place_level(
+                design, report, CLUSTER_LEVELS, cap, OVERFLOW_TARGET, prefix, watchdog
+            )
         report.final_hpwl = design.hpwl()
         report.final_overflow = flat
         report.runtime_seconds = time.perf_counter() - t0
         return report
 
-    def _coarse_config(self) -> GPConfig:
+    def _place_level(
+        self, design, report, depth, cap, target, prefix, watchdog=None
+    ) -> float:
+        """Initial placement, then (``depth`` levels permitting) a clustered
+        copy placed by the next level down, then the flat level."""
         cfg = self.config
-        coarse = GPConfig(**vars(cfg))
-        # Recurse while levels remain; each level halves the budget and
-        # relaxes the spreading target (fine levels do the precise work).
-        coarse.cluster_max_levels = cfg.cluster_max_levels - 1
-        coarse.max_outer_iterations = max(
-            4, int(cfg.max_outer_iterations * COARSE_ITERATION_FRACTION)
-        )
-        coarse.overflow_target = max(cfg.overflow_target, 0.15)
-        return coarse
+        tracer = get_tracer()
+        with tracer.span("initial"):
+            initial_placement(design, seed=cfg.seed)
+
+        if (
+            cfg.clustering
+            and depth > 0
+            and len(design.movable_indices()) >= CLUSTER_MIN_NODES
+        ):
+            with tracer.span("coarse", level=depth):
+                clustered = cluster_design(design)
+                coarse = GPReport()
+                self._place_level(
+                    clustered.coarse,
+                    coarse,
+                    depth - 1,
+                    max(4, int(cap * COARSE_ITERATION_FRACTION)),
+                    COARSE_OVERFLOW_TARGET,
+                    prefix + ".coarse",
+                )
+                # Surface the deepest level's trajectory for inspection.
+                report.coarse_iterations = (
+                    coarse.coarse_iterations or coarse.iterations
+                )
+                clustered.transfer_positions()
+
+        return self._place_flat(design, report, cap, target, prefix, watchdog=watchdog)
 
     # ------------------------------------------------------------------
     def _place_flat(
-        self, design: Design, report: GPReport, watchdog=None
+        self, design, report, cap, target, prefix, *, refine=False, watchdog=None
     ) -> float:
         cfg = self.config
         core = design.core
         movable_mask = design.movable_mask()
-        if cfg.freeze_macros:
+        if refine:
+            # The macros are legalized: they hold still as obstacles.
             movable_mask &= ~design.macro_mask()
         mov = np.flatnonzero(movable_mask)
         m = len(mov)
@@ -193,7 +213,7 @@ class GlobalPlacer:
             for n in design.nodes
             if n.kind.is_fixed and n.kind.blocks_placement
         ]
-        if cfg.freeze_macros:
+        if refine:
             fixed_rects += [
                 (n.rect.xl, n.rect.yl, n.rect.xh, n.rect.yh)
                 for n in design.nodes
@@ -211,7 +231,6 @@ class GlobalPlacer:
             heights,
             movable_mask,
             fixed_rects=fixed_rects,
-            target_density=cfg.target_density,
             target_scale=target_scale,
         )
         fence = FencePenalty(design)
@@ -308,8 +327,8 @@ class GlobalPlacer:
 
         tracer = get_tracer()
         metrics = tracer.metrics
-        prefix = self.metric_prefix
-        for outer in range(cfg.max_outer_iterations):
+        orient = cfg.optimize_orientations and not refine
+        for outer in range(cap):
             with tracer.span(f"iter[{outer}]"):
                 if (
                     inflator is not None
@@ -319,12 +338,7 @@ class GlobalPlacer:
                     with tracer.span("inflation"):
                         areas = inflator.update(arrays, cx, cy, movable_mask)
                         density.set_areas(areas)
-                if (
-                    cfg.optimize_orientations
-                    and not cfg.freeze_macros
-                    and outer > 0
-                    and outer % ORIENTATION_INTERVAL == 0
-                ):
+                if orient and outer > 0 and outer % ORIENTATION_INTERVAL == 0:
                     with tracer.span("orientation"):
                         changed = self._orientation_pass(design, cx, cy)
                     report.orientation_changes += changed
@@ -398,8 +412,6 @@ class GlobalPlacer:
                 stats = IterationStats(
                     outer=outer,
                     hpwl=wl_exact,
-                    smooth_wl=wl_model.value(cx, cy),
-                    density=density.value(cx, cy),
                     overflow=overflow,
                     lam=state["lam"],
                     mean_inflation=inflator.mean_inflation if inflator else 1.0,
@@ -441,7 +453,7 @@ class GlobalPlacer:
                     outer,
                 )
                 break
-            if overflow <= cfg.overflow_target:
+            if overflow <= target:
                 break
             state["lam"] *= LAMBDA_GROWTH
             if fence.active:
@@ -462,7 +474,7 @@ class GlobalPlacer:
             if inflator.estimator == "hybrid":
                 report.inflation = dict(inflator.hybrid_stats)
         design.push_centers(cx, cy, indices=mov)
-        if cfg.optimize_orientations and not cfg.freeze_macros:
+        if orient:
             report.orientation_changes += optimize_macro_orientations(design)
         report.fence_projected = project_into_fences(design)
         return overflow
@@ -493,9 +505,8 @@ class GlobalPlacer:
         ``floor``), reserving whitespace for wires over starved regions —
         the whitespace-reservation mechanism of the paper's stage 1.
         """
-        spec = design.routing
-        rgrid = spec.grid
-        supply = (spec.hcap * rgrid.bin_h + spec.vcap * rgrid.bin_w) / rgrid.bin_area
+        rgrid = design.routing.grid
+        supply = design.routing.supply_density()
         median = float(np.median(supply)) if supply.size else 1.0
         if median <= 0:
             return np.ones((grid.nx, grid.ny))

@@ -19,11 +19,10 @@ from repro.legal.tetris import tetris_legalize
 from repro.legal.abacus import abacus_refine
 from repro.legal.check import LegalityReport, check_legal
 from repro.legal.eco import EcoResult, eco_legalize
-from repro.legal.legalizer import LegalConfig, Legalizer
+from repro.legal.legalizer import Legalizer
 
 __all__ = [
     "EcoResult",
-    "LegalConfig",
     "Legalizer",
     "LegalityReport",
     "eco_legalize",

@@ -18,19 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.legal.subrows import SubRowMap
-
-
-def _snap_x(x: float, cell_width: float, x_min: float, x_max: float,
-            site_width: float) -> float:
-    """:meth:`~repro.legal.subrows.SubRow.snap_x`, replicated verbatim
-    so the row core below stays a pure function of plain scalars."""
-    x = min(max(x, x_min), x_max - cell_width)
-    site = round((x - x_min) / site_width)
-    out = x_min + site * site_width
-    if out + cell_width > x_max + 1e-9:
-        out -= site_width
-    return max(out, x_min)
+from repro.legal.subrows import SubRowMap, snap_to_site
 
 
 def _refine_row(tgt, widths, x_min: float, x_max: float, site_width: float):
@@ -88,7 +76,7 @@ def _refine_row(tgt, widths, x_min: float, x_max: float, site_width: float):
         last = cfirst[ci + 1] if ci + 1 < n_clusters else n_cells
         for pos in range(cfirst[ci], last):
             wd = widths[pos]
-            xx = max(_snap_x(x, wd, x_min, x_max, site_width), cursor)
+            xx = max(snap_to_site(x, wd, x_min, x_max, site_width), cursor)
             xs_out[pos] = xx
             cursor = xx + wd
             disps[pos] = abs(xx - tgt[pos])

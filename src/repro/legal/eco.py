@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.db import Design, NodeKind
-from repro.legal.subrows import SubRowMap
+from repro.legal.subrows import SubRowMap, free_intervals
 
 
 @dataclass
@@ -35,23 +35,6 @@ class EcoResult:
     @property
     def total_displacement(self) -> float:
         return sum(d for _, d in self.placed)
-
-
-def _free_intervals(design: Design, sr, exclude: set):
-    cells = sorted(
-        (i for i in sr.cells if i not in exclude),
-        key=lambda i: design.nodes[i].x,
-    )
-    out = []
-    cursor = sr.x_min
-    for idx in cells:
-        node = design.nodes[idx]
-        if node.x > cursor + 1e-9:
-            out.append((cursor, node.x))
-        cursor = max(cursor, node.x + node.placed_width)
-    if cursor < sr.x_max - 1e-9:
-        out.append((cursor, sr.x_max))
-    return out
 
 
 def eco_legalize(
@@ -91,7 +74,7 @@ def eco_legalize(
             dy = abs(sr.y - node.y)
             if dy > search_radius or dy >= best_cost:
                 continue
-            for lo, hi in _free_intervals(design, sr, exclude):
+            for lo, hi in free_intervals(design, sr, exclude):
                 if hi - lo < node.placed_width - 1e-9:
                     continue
                 x = min(max(node.x, lo), hi - node.placed_width)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.db import Design
 from repro.legal.abacus import abacus_refine
@@ -12,17 +12,6 @@ from repro.legal.macro_legal import legalize_macros
 from repro.legal.subrows import SubRowMap
 from repro.legal.tetris import tetris_legalize
 from repro.obs import get_tracer
-
-
-@dataclass
-class LegalConfig:
-    """Knobs of :class:`Legalizer`."""
-
-    # Fallback mode: skip the Abacus refinement and accept the plain
-    # Tetris result.  The flow switches this on when a full legalization
-    # attempt fails, trading displacement quality for a placement that is
-    # still legal.
-    tetris_only: bool = False
 
 
 @dataclass
@@ -45,23 +34,16 @@ class Legalizer:
     """Macro legalization + Tetris + Abacus, with a legality audit.
 
     ``macro_channel`` is the clearance reserved around macros (the flow
-    passes ``FlowConfig.macro_channel``); ``tetris_only`` overrides the
-    config's fallback switch.
+    passes ``FlowConfig.macro_channel``).  ``tetris_only`` is the
+    fallback mode: skip the Abacus refinement and accept the plain Tetris
+    result.  The flow switches it on when a full legalization attempt
+    fails, trading displacement quality for a placement that is still
+    legal.
     """
 
-    def __init__(
-        self,
-        config: LegalConfig | None = None,
-        *,
-        macro_channel: float = 0.0,
-        tetris_only: bool | None = None,
-    ):
-        cfg = config or LegalConfig()
-        if tetris_only is not None:
-            cfg = replace(cfg, tetris_only=tetris_only)
-        self.config = cfg
+    def __init__(self, *, macro_channel: float = 0.0, tetris_only: bool = False):
         self.macro_channel = macro_channel
-        self.tetris_only = cfg.tetris_only
+        self.tetris_only = tetris_only
 
     def legalize(self, design: Design) -> LegalizeResult:
         tracer = get_tracer()

@@ -35,12 +35,39 @@ class SubRow:
 
     def snap_x(self, x: float, cell_width: float) -> float:
         """Site-aligned x nearest ``x`` keeping the cell inside."""
-        x = min(max(x, self.x_min), self.x_max - cell_width)
-        site = round((x - self.x_min) / self.site_width)
-        out = self.x_min + site * self.site_width
-        if out + cell_width > self.x_max + 1e-9:
-            out -= self.site_width
-        return max(out, self.x_min)
+        return snap_to_site(x, cell_width, self.x_min, self.x_max, self.site_width)
+
+
+def snap_to_site(
+    x: float, cell_width: float, x_min: float, x_max: float, site_width: float
+) -> float:
+    """Site-aligned x nearest ``x`` keeping a ``cell_width`` cell inside
+    ``[x_min, x_max]`` (:meth:`SubRow.snap_x` on plain scalars)."""
+    x = min(max(x, x_min), x_max - cell_width)
+    site = round((x - x_min) / site_width)
+    out = x_min + site * site_width
+    if out + cell_width > x_max + 1e-9:
+        out -= site_width
+    return max(out, x_min)
+
+
+def free_intervals(design: Design, sr: SubRow, exclude=()) -> list:
+    """Maximal free ``(lo, hi)`` gaps of ``sr`` between its current cells,
+    ignoring the cells in ``exclude``."""
+    cells = sorted(
+        (i for i in sr.cells if i not in exclude),
+        key=lambda i: design.nodes[i].x,
+    )
+    out = []
+    cursor = sr.x_min
+    for idx in cells:
+        node = design.nodes[idx]
+        if node.x > cursor + 1e-9:
+            out.append((cursor, node.x))
+        cursor = max(cursor, node.x + node.placed_width)
+    if cursor < sr.x_max - 1e-9:
+        out.append((cursor, sr.x_max))
+    return out
 
 
 def _subtract_intervals(intervals, cut_lo: float, cut_hi: float):

@@ -53,6 +53,17 @@ def rudy_map(
     return grid_map
 
 
+def rudy_congestion(design) -> np.ndarray:
+    """RUDY demand over track supply per routing tile (0 where a tile has
+    no supply): the congestion estimate of detailed placement's gate and
+    spreading."""
+    spec = design.routing
+    demand = rudy_map(design.pin_arrays(), *design.pull_centers(), spec.grid)
+    supply = spec.supply_density()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(supply > 0, demand / np.maximum(supply, 1e-12), 0.0)
+
+
 def rudy_congestion_metrics(design, wire_width: float = 1.0):
     """Estimator-based :class:`~repro.route.metrics.CongestionMetrics`.
 

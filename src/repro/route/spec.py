@@ -90,6 +90,13 @@ class RoutingSpec:
     def total_supply(self) -> float:
         return float(self.hcap.sum() + self.vcap.sum())
 
+    def supply_density(self) -> np.ndarray:
+        """Tracks per unit area of each tile, ``(hcap*bin_h + vcap*bin_w) /
+        bin_area``.  Computed on each call: :meth:`block_rect` changes the
+        capacities."""
+        grid = self.grid
+        return (self.hcap * grid.bin_h + self.vcap * grid.bin_w) / grid.bin_area
+
     def copy(self) -> "RoutingSpec":
         return RoutingSpec(
             self.grid, self.hcap.copy(), self.vcap.copy(), layers=list(self.layers)

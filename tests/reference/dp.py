@@ -12,8 +12,8 @@ import numpy as np
 from repro.db import NodeKind
 from repro.dp.engine import CONGESTION_GATE_THRESHOLD
 from repro.dp.hpwl_delta import IncrementalHPWL
-from repro.dp.spreading import _free_intervals
 from repro.dp.swap import _SlotIndex
+from repro.legal.subrows import free_intervals as _free_intervals
 from repro.route.rudy import rudy_map
 
 

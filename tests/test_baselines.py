@@ -151,7 +151,6 @@ class TestOneFlow:
         cfg.runs_dir = runs
         cfg.gp.clustering = False
         cfg.gp.max_outer_iterations = 4
-        cfg.refine_outer_iterations = 2
         main_flow = NTUplace4H(cfg).run(bench(seed=53), route=False)
         registry = RunRegistry(runs)
         assert registry.get(quadratic.run_id)["flow"] == "quadratic"

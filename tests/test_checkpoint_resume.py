@@ -39,7 +39,6 @@ def fast_flow(checkpoint_dir=None) -> FlowConfig:
     cfg.gp.clustering = False
     cfg.gp.max_outer_iterations = 12
     cfg.gp.inner_iterations = 14
-    cfg.refine_outer_iterations = 5
     cfg.dp = DPConfig(rounds=1, congestion_aware=True)
     cfg.checkpoint_dir = checkpoint_dir
     return cfg

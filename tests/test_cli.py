@@ -206,7 +206,6 @@ class TestDPKnobs:
         _apply_dp_knobs(cfg, args)
         default = FlowConfig()
         assert cfg.dp == default.dp
-        assert cfg.legal == default.legal
 
     def test_place_with_dp_knobs(self, bench_dir):
         rc = main(

@@ -83,15 +83,16 @@ class TestEngineIntegration:
     def test_spread_runs_in_engine(self):
         d = hot_design(seed=5)
         sm = tetris_legalize(d)
-        cfg = DPConfig(rounds=1, congestion_aware=True, spread_threshold=0.5)
+        cfg = DPConfig(rounds=1, congestion_aware=True)
         report = DetailedPlacer(cfg).run(d, sm)
-        names = [p[0] for p in report.passes]
-        assert "congestion_spread" in names
+        moved = {p[0]: p[1] for p in report.passes}
+        # The starved tiles run hot enough for the default 0.9 threshold.
+        assert moved["congestion_spread"] > 0
         assert check_legal(d).ok
 
     def test_spread_disabled(self):
         d = hot_design(seed=6)
         sm = tetris_legalize(d)
-        cfg = DPConfig(rounds=1, congestion_aware=True, congestion_spread=False)
+        cfg = DPConfig(rounds=1, congestion_aware=False)
         report = DetailedPlacer(cfg).run(d, sm)
         assert "congestion_spread" not in [p[0] for p in report.passes]

@@ -7,6 +7,7 @@ from repro.dp import DPConfig
 from repro.flow import FlowConfig, NTUplace4H, wirelength_driven_flow
 from repro.gp import GPConfig
 from repro.legal import check_legal
+from repro.obs import Tracer, use_tracer
 
 
 def bench(seed=61, **kw):
@@ -23,7 +24,6 @@ def fast_flow(routability=True) -> FlowConfig:
     cfg.gp.clustering = False
     cfg.gp.max_outer_iterations = 14
     cfg.gp.inner_iterations = 16
-    cfg.refine_outer_iterations = 6
     cfg.dp = DPConfig(rounds=1, congestion_aware=routability)
     return cfg
 
@@ -62,6 +62,20 @@ class TestFlow:
         row = res.as_row()
         for key in ("design", "HPWL", "RC", "sHPWL", "legal", "time_s"):
             assert key in row
+
+    def test_refine_takes_its_share_of_the_gp_budget(self):
+        # The post-macro refine is a GP phase capped at
+        # REFINE_ITERATION_FRACTION of max_outer_iterations:
+        # int(10 * 0.4) = 4.  This dense design never meets the overflow
+        # target early, so a cap of its own (16) would show.
+        d = bench(utilization=0.8)
+        cfg = fast_flow()
+        cfg.gp.max_outer_iterations = 10
+        cfg.run_dp = False
+        with use_tracer(Tracer()) as tracer:
+            NTUplace4H(cfg).run(d, route=False)
+        assert len(tracer.metrics.samples("gp.hpwl")) == 10
+        assert len(tracer.metrics.samples("gp.refine.hpwl")) == 4
 
     def test_wirelength_only_factory(self):
         flow = wirelength_driven_flow()

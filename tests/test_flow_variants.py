@@ -5,6 +5,7 @@ import pytest
 from repro.benchgen import BenchmarkSpec, make_benchmark
 from repro.db import NodeKind
 from repro.dp import DPConfig, DetailedPlacer
+from repro.dp import engine as dp_engine
 from repro.flow import FlowConfig, NTUplace4H
 from repro.legal import tetris_legalize
 
@@ -22,7 +23,6 @@ def quick(cfg: FlowConfig) -> FlowConfig:
     cfg.gp.clustering = False
     cfg.gp.max_outer_iterations = 10
     cfg.gp.inner_iterations = 12
-    cfg.refine_outer_iterations = 4
     cfg.run_dp = False
     return cfg
 
@@ -42,11 +42,12 @@ class TestMacroChannel:
 
 
 class TestDPEarlyExit:
-    def test_min_gain_stops_rounds(self):
+    def test_min_gain_stops_rounds(self, monkeypatch):
         d = bench(82)
         sm = tetris_legalize(d)
         # Absurdly high bar: one round only, regardless of rounds=5.
-        cfg = DPConfig(rounds=5, congestion_aware=False, min_gain_per_round=0.9)
+        monkeypatch.setattr(dp_engine, "MIN_GAIN_PER_ROUND", 0.9)
+        cfg = DPConfig(rounds=5, congestion_aware=False)
         report = DetailedPlacer(cfg).run(d, sm)
         names = [p[0] for p in report.passes]
         assert names.count("global_swap") == 1

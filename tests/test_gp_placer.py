@@ -7,6 +7,7 @@ from repro.benchgen import BenchmarkSpec, make_benchmark
 from repro.db import Design, NodeKind
 from repro.density import density_overflow
 from repro.gp import GlobalPlacer, GPConfig, fence_violation
+from repro.gp import placer as placer_mod
 from repro.geometry import Rect
 
 
@@ -106,9 +107,12 @@ class TestFences:
         macro_pos = {
             n.index: (n.x, n.y) for n in d.nodes if n.kind is NodeKind.MACRO
         }
-        GlobalPlacer(fast_cfg(freeze_macros=True, max_outer_iterations=4)).place(
-            d, warm_start=True
+        # The refine phase holds the macros still; 10 outer iterations of
+        # budget give it int(10 * 0.4) = 4.
+        report = GlobalPlacer(fast_cfg(max_outer_iterations=10)).place(
+            d, refine=True
         )
+        assert 1 <= report.num_iterations <= 4
         for idx, (x, y) in macro_pos.items():
             assert (d.nodes[idx].x, d.nodes[idx].y) == pytest.approx((x, y))
 
@@ -135,15 +139,14 @@ class TestRoutabilityMode:
 
 
 class TestClusteredVcycle:
-    def test_clustered_run_matches_quality(self):
+    def test_clustered_run_matches_quality(self, monkeypatch):
         d1 = bench(seed=30, cells=600)
         cfg = fast_cfg(max_outer_iterations=20)
         GlobalPlacer(cfg).place(d1)
         flat_hpwl = d1.hpwl()
         d2 = bench(seed=30, cells=600)
-        cfg2 = fast_cfg(
-            clustering=True, cluster_min_nodes=100, max_outer_iterations=20
-        )
+        monkeypatch.setattr(placer_mod, "CLUSTER_MIN_NODES", 100)
+        cfg2 = fast_cfg(clustering=True, max_outer_iterations=20)
         report = GlobalPlacer(cfg2).place(d2)
         assert report.coarse_iterations  # V-cycle actually ran
         assert d2.hpwl() < 1.6 * flat_hpwl

@@ -151,7 +151,6 @@ def degenerate_flow_cfg() -> FlowConfig:
     cfg.gp.clustering = False
     cfg.gp.max_outer_iterations = 8
     cfg.gp.inner_iterations = 10
-    cfg.refine_outer_iterations = 4
     cfg.dp = DPConfig(rounds=1, congestion_aware=False)
     return cfg
 

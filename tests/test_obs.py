@@ -384,7 +384,6 @@ def _fast_cfg() -> FlowConfig:
     cfg.gp.clustering = False
     cfg.gp.max_outer_iterations = 12
     cfg.gp.inner_iterations = 16
-    cfg.refine_outer_iterations = 4
     cfg.dp = DPConfig(rounds=1)
     return cfg
 

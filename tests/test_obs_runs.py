@@ -164,7 +164,6 @@ class TestFlowIntegration:
         cfg.gp.clustering = False
         cfg.gp.max_outer_iterations = 6
         cfg.gp.inner_iterations = 16
-        cfg.refine_outer_iterations = 2
         cfg.dp = DPConfig(rounds=1)
         cfg.runs_dir = runs_dir
         design = make_benchmark(

@@ -145,7 +145,6 @@ def _fast_cfg() -> FlowConfig:
     cfg.gp.clustering = False
     cfg.gp.max_outer_iterations = 10
     cfg.gp.inner_iterations = 16
-    cfg.refine_outer_iterations = 2
     cfg.dp = DPConfig(rounds=1)
     return cfg
 

@@ -39,7 +39,6 @@ def fast_flow(**kw) -> FlowConfig:
     cfg.gp.clustering = False
     cfg.gp.max_outer_iterations = 14
     cfg.gp.inner_iterations = 16
-    cfg.refine_outer_iterations = 6
     cfg.dp = DPConfig(rounds=1, congestion_aware=True)
     for k, v in kw.items():
         setattr(cfg, k, v)

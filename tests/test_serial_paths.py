@@ -33,10 +33,11 @@ from repro.dp import DetailedPlacer, DPConfig
 from repro.flow import FlowConfig, NTUplace4H
 from repro.geometry import Rect
 from repro.gp import GlobalPlacer, GPConfig
-from repro.legal import LegalConfig, Legalizer, check_legal
+from repro.legal import Legalizer, check_legal
 from repro.obs import SamplingProfiler, Tracer
 from repro.resilience import load_checkpoint
 from repro.route import GlobalRouter
+from repro.serve.worker import build_flow_config
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +110,7 @@ def routed_design(seed=3, cells=600):
 # ----------------------------------------------------------------------
 class TestNoWorkerKnobs:
     @pytest.mark.parametrize(
-        "cls", [GPConfig, FlowConfig, LegalConfig, DPConfig],
+        "cls", [GPConfig, FlowConfig, DPConfig, QuadraticConfig],
         ids=lambda cls: cls.__name__,
     )
     def test_config_has_no_worker_field(self, cls):
@@ -185,18 +186,22 @@ REMOVED_KNOBS = {
         "reservation_floor", "fence_weight_initial_ratio",
         "fence_weight_growth", "orientation_interval",
         "coarse_iteration_fraction", "target_bins", "verbose", "reference",
+        # The phase schedule is GlobalPlacer's: constants, not copies.
+        "target_density", "overflow_target", "freeze_macros",
+        "cluster_min_nodes", "cluster_max_levels",
     ),
     DPConfig: (
         "reorder_window", "swap_candidates", "matching_batch",
         "spread_max_moves", "congestion_gate_threshold", "reference",
         "global_swap", "vertical_swap", "local_reorder", "matching",
+        "congestion_spread", "spread_threshold", "min_gain_per_round",
     ),
-    LegalConfig: ("row_probe", "macro_channel", "reference"),
-    Legalizer: ("row_probe", "reference"),
+    Legalizer: ("row_probe", "reference", "config"),
     FlowConfig: (
         "net_weighting_strength", "net_weighting_max",
         "timing_weighting_max", "refine_after_macro_legal",
-        "route_cost_refresh",
+        "route_cost_refresh", "legal", "refine_outer_iterations",
+        "validate_input", "sanitize",
     ),
     GlobalRouter: ("cost_refresh", "reference"),
     QuadraticConfig: (
@@ -206,16 +211,47 @@ REMOVED_KNOBS = {
 }
 
 
+# Deleted with ``FlowConfig.legal``: the fields it refused, now refused
+# at the serve override path ``legal.<field>`` that once reached it.
+REMOVED_CLASS_KNOBS = {
+    "LegalConfig": ("row_probe", "macro_channel", "reference"),
+}
+
+
 @pytest.mark.parametrize(
     "cls,name",
-    [(cls, name) for cls, names in REMOVED_KNOBS.items() for name in names],
+    [(cls, name) for cls, names in REMOVED_KNOBS.items() for name in names]
+    + [(cls, name) for cls, names in REMOVED_CLASS_KNOBS.items()
+       for name in names],
     ids=lambda v: v.__name__ if isinstance(v, type) else v,
 )
 def test_removed_knob_refused(cls, name):
     # No caller set these; a second copy of a value could only drift.
+    if cls in REMOVED_CLASS_KNOBS:
+        import repro.legal
+
+        assert not hasattr(repro.legal, cls)
+        with pytest.raises(ValueError, match="unknown flow-config override"):
+            build_flow_config({"config": {f"legal.{name}": None}}, job_dir="")
+        return
     assert name not in inspect.signature(cls.__init__).parameters
     with pytest.raises(TypeError):
         cls(**{name: None})
+
+
+def test_legal_config_removed():
+    # Its one field, the Tetris-only fallback switch, is the Legalizer
+    # keyword the flow's fallback passes.
+    import repro.legal
+
+    assert not hasattr(repro.legal, "LegalConfig")
+    assert "tetris_only" in inspect.signature(Legalizer.__init__).parameters
+
+
+def test_config_surface():
+    # Every leaf of the flow's configs is also a serve override.
+    configs = (FlowConfig, GPConfig, DPConfig, QuadraticConfig)
+    assert sum(len(dataclasses.fields(c)) for c in configs) == 29
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +330,6 @@ class TestResumeAfterDPKill:
             cfg.gp.clustering = False
             cfg.gp.max_outer_iterations = 10
             cfg.gp.inner_iterations = 12
-            cfg.refine_outer_iterations = 4
             cfg.dp = DPConfig(rounds=1, congestion_aware=True)
             cfg.checkpoint_dir = checkpoint_dir
             return cfg

@@ -313,6 +313,21 @@ class TestBuildFlowConfig:
         assert asdict(cfg) == before
 
     @pytest.mark.parametrize(
+        "key",
+        [
+            "gp.target_density", "gp.overflow_target", "gp.freeze_macros",
+            "gp.cluster_min_nodes", "gp.cluster_max_levels",
+            "dp.congestion_spread", "dp.spread_threshold",
+            "dp.min_gain_per_round", "legal", "legal.tetris_only",
+            "refine_outer_iterations", "validate_input", "sanitize",
+        ],
+    )
+    def test_removed_field_refused(self, tmp_path, key):
+        # Constants now: a job naming one fails at once.
+        with pytest.raises(ValueError, match="unknown flow-config override"):
+            build_flow_config({"config": {key: True}}, job_dir=str(tmp_path))
+
+    @pytest.mark.parametrize(
         "override",
         [
             {"gp.not_a_knob": 1},

@@ -185,17 +185,3 @@ class TestFlowGate:
         assert result.validation.ok and not result.validation.clean
         assert d.num_nets == nets_before - 1
         assert not result.degraded  # a repaired design is not a degraded run
-
-    def test_validation_can_be_disabled(self):
-        d = rowed_design()
-        a = d.add_node(Node("a", 2, 1, x=1, y=1))
-        b = d.add_node(Node("b", 2, 1, x=5, y=3))
-        add_net(d, a, b)
-        cfg = FlowConfig()
-        cfg.validate_input = False
-        cfg.gp.clustering = False
-        cfg.gp.max_outer_iterations = 6
-        cfg.gp.inner_iterations = 8
-        cfg.run_dp = False
-        result = NTUplace4H(cfg).run(d, route=False)
-        assert result.validation is None
