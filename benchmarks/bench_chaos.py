@@ -20,10 +20,15 @@ The chaos itself (all seeded by ``--seed``):
   handlers and client run here), ``serve.store_write`` /
   ``serve.disk_full`` armed per-job inside the worker processes via
   ``options.faults``;
-* random ``SIGKILL`` of busy workers;
+* random ``SIGKILL`` of busy workers, the first as soon as a worker
+  holds a running job;
 * random cancels of a subset of jobs;
 * random engine restarts mid-load (drain → close → reopen on the same
-  root), exercising orphan requeue + checkpoint resume.
+  root), scheduled from the first kill, exercising orphan requeue +
+  checkpoint resume.
+
+A soak passes only if the chaos happened: at least one kill, every
+restart ``--restarts`` asks for, and at least one requeue.
 
 Two modes::
 
@@ -62,9 +67,9 @@ from repro.serve.store import JobStore
 
 #: The tiny-job template: small and stage-complete.  The GP budget also
 #: caps the refine after macro legalization (40% of it), and a job must
-#: run long enough (about 0.5 s here) for the kill and restart schedule,
-#: which starts 1-3 s in, and the restart drill's 0.5 s drain deadline
-#: to find work in flight: 12 outer iterations give 12 GP + 4 refine.
+#: run long enough (about 0.5 s here) for the soak's restarts, 1-3 s
+#: after its first kill, and the restart drill's 0.5 s drain deadline to
+#: find work in flight: 12 outer iterations give 12 GP + 4 refine.
 JOB_CELLS = 40
 JOB_GP_ITERS = 12
 
@@ -237,23 +242,29 @@ def run_soak(args) -> dict:
             job_ids, max(1, len(job_ids) // 10)
         ))
         deadline = time.monotonic() + args.timeout
-        next_kill = time.monotonic() + rng.uniform(1.0, 3.0)
-        restart_times = sorted(
-            time.monotonic() + rng.uniform(1.0, 3.0) * (i + 1)
-            for i in range(args.restarts)
-        )
+        # The first kill is tried on every poll until a worker holds a
+        # running job; the later kills and the restarts are scheduled
+        # from it, so short jobs cannot outrun the chaos.
+        next_kill = None
+        restart_times = []
         while time.monotonic() < deadline:
             counts = store.counts()
             open_jobs = counts.get("queued", 0) + counts.get("running", 0)
             if open_jobs == 0:
                 break
             now = time.monotonic()
-            if now >= next_kill:
+            if next_kill is None or now >= next_kill:
                 if _kill_one_busy_worker(store, rng):
+                    if not kills:
+                        restart_times = sorted(
+                            now + rng.uniform(1.0, 3.0) * (i + 1)
+                            for i in range(args.restarts)
+                        )
                     kills += 1
-                next_kill = now + rng.uniform(
-                    args.kill_interval * 0.5, args.kill_interval * 1.5
-                )
+                if kills:
+                    next_kill = now + rng.uniform(
+                        args.kill_interval * 0.5, args.kill_interval * 1.5
+                    )
             for job_id in list(cancel_targets):
                 if rng.random() < 0.2:
                     cancel_targets.discard(job_id)
@@ -465,6 +476,22 @@ def main(argv=None) -> int:
             and record["running_after_close"] == 0
             and metrics["chaos_done"] == metrics["chaos_submitted"]
         )
+    else:
+        # A soak that ran no chaos proves nothing.
+        chaos_ran = (
+            metrics["chaos_worker_kills"] >= 1
+            and metrics["chaos_restarts"] >= args.restarts
+            and metrics["chaos_requeues"] >= 1
+        )
+        if not chaos_ran:
+            print(
+                "FAIL: the soak needs a kill, every requested restart and "
+                f"a requeue (kills {metrics['chaos_worker_kills']}, "
+                f"restarts {metrics['chaos_restarts']} of {args.restarts}, "
+                f"requeues {metrics['chaos_requeues']})",
+                file=sys.stderr,
+            )
+        passed = passed and chaos_ran
     record["passed"] = passed
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)

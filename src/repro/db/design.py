@@ -297,6 +297,11 @@ class Design:
         w, h = self.placed_sizes()
         return self._column(X) + w / 2.0, self._column(Y) + h / 2.0
 
+    def pull_corners(self):
+        """Lower-left corner coordinates of every node as two fresh
+        float64 arrays."""
+        return self._column(X).copy(), self._column(Y).copy()
+
     def push_centers(self, cx: np.ndarray, cy: np.ndarray, indices=None) -> None:
         """Write centre coordinates back onto movable nodes.
 

@@ -43,6 +43,9 @@ class DPReport:
     passes: list = field(default_factory=list)  # (name, accepted, gain)
     runtime_seconds: float = 0.0
     budget_exhausted: bool = False  # stage watchdog expired between rounds
+    # The books disagree: the pass gains do not add up to the HPWL
+    # change, or the incremental total is not the from-scratch HPWL.
+    hpwl_mismatch: bool = False
 
     @property
     def improvement(self) -> float:
@@ -121,6 +124,11 @@ class DetailedPlacer:
                 moves, delta = congestion_spread_pass(design, submap, inc)
             note("congestion_spread", moves, -delta)
         report.hpwl_after = design.hpwl()
+        claimed = report.hpwl_before - sum(p[2] for p in report.passes)
+        report.hpwl_mismatch = not (
+            math.isclose(claimed, report.hpwl_after, rel_tol=1e-9)
+            and math.isclose(inc.total(), report.hpwl_after, rel_tol=1e-9)
+        )
         report.runtime_seconds = time.perf_counter() - t0
         return report
 

@@ -2,30 +2,42 @@
 
 Detailed placement evaluates millions of candidate moves; recomputing the
 whole wirelength each time would dominate runtime.  ``IncrementalHPWL``
-keeps per-net pin coordinates and bounding boxes and answers "what would
-the HPWL delta be if these nodes moved to these centres" in time
+keeps per-pin coordinates and per-net bounding boxes and answers "what
+would the HPWL delta be if these nodes moved to these centres" in time
 proportional to the number of pins on the affected nets.
 
-The bookkeeping runs on the CSR node→net / node→pin incidence from
-:meth:`Design.node_incidence`, with dirty-net pin gathers,
-``np.minimum/maximum.reduceat`` bounding boxes, and a batched
-:meth:`score_moves` that prices every candidate move set of a pass in one
-NumPy evaluation.
+The passes price sets of one to eight moves at a time, where NumPy's
+per-call overhead costs more than the arithmetic.  So pricing scans
+Python-list mirrors of the pin coordinates, pin offsets, net pointers,
+net weights and per-net HPWL, which :meth:`IncrementalHPWL.apply_moves`
+keeps equal to the arrays:
 
-It honours the summation contract of the original per-pin Python loops
-(golden twins under ``tests/reference/``), so the results are
-*bit-identical*: a delta is the sum of per-net terms
-``w · ((xh'−xl') + (yh'−yl') − before)`` accumulated sequentially over
-the affected nets in ascending net order.  Per-net bounds are pure
-min/max reductions, which are associativity-insensitive, so the
-vectorized reductions reproduce the scalar comparison loops bit for bit;
-only the accumulation order of the final sum matters, and both fix it the
-same way.
+* :meth:`~IncrementalHPWL.delta_for_moves` and
+  :meth:`~IncrementalHPWL.score_moves` scan each set's nets;
+* :meth:`~IncrementalHPWL.score_reorders` prices sets that all move the
+  same cells (a reorder window's permutations) and reduces each net's
+  unmoved pins once per call;
+* :meth:`~IncrementalHPWL.score_swaps` prices sets that all move one
+  anchor cell (a cell's swap candidates) and reduces once each anchor
+  net that holds no other moved cell;
+* :meth:`~IncrementalHPWL.score_relocations` prices every single-cell
+  move of a matching batch in one array call.
+
+Every path honours the summation contract of the original per-pin
+Python loops (golden twins under ``tests/reference/``), so the results
+are *bit-identical*: a delta is the sum, from ``0.0``, of the per-net
+terms ``w · ((xh'−xl') + (yh'−yl') − before)`` over the affected nets
+with at least two pins, in ascending net order.  Per-net bounds are pure
+min/max reductions, which no reduction order changes, and rounding is
+monotone, so ``min_k fl(t + dx_k) == fl(t + min_k dx_k)``: the extremes
+of a moved cell's pins on a net follow from its offset extremes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_INF = float("inf")
 
 
 def _multi_arange(starts, counts):
@@ -76,55 +88,45 @@ class IncrementalHPWL:
         incidence = design.node_incidence()
         self._nn_ptr = incidence.node_net_ptr
         self._nn_ids = incidence.node_net_ids
-        self._np_ptr = incidence.node_pin_ptr
-        self._np_ids = incidence.node_pin_ids
+        np_ptr = incidence.node_pin_ptr
+        np_ids = incidence.node_pin_ids
         self.node_nets = [
             self._nn_ids[self._nn_ptr[i] : self._nn_ptr[i + 1]].tolist()
             for i in range(len(design.nodes))
         ]
         self._node_pins = [
-            self._np_ids[self._np_ptr[i] : self._np_ptr[i + 1]].tolist()
+            np_ids[np_ptr[i] : np_ptr[i + 1]].tolist()
             for i in range(len(design.nodes))
         ]
         self._net_deg = np.diff(self.net_ptr)
-        self._deg_list = self._net_deg.tolist()
-        self._pin_net = np.repeat(
-            np.arange(arrays.num_nets, dtype=np.int64), self._net_deg
-        )
-        # Lazy per-node cache of (pins on >=2-pin nets, their offsets):
-        # the dirty-pin set every scored move of that node rewrites.
-        self._dirty_cache: list = [None] * len(design.nodes)
         # Cached per-net bounding boxes make the "before" side of every
         # delta O(1); they are refreshed on apply_moves.
         n = arrays.num_nets
         self._bb = np.zeros((n, 4))  # xl, xh, yl, yh
         if n:
             self._refresh_bboxes(np.arange(n, dtype=np.int64))
+        # Python-list mirrors of everything pricing reads.
+        self._pin_x = self.px.tolist()
+        self._pin_y = self.py.tolist()
+        self._pin_node = arrays.pin_node.tolist()
+        self._pin_dx = arrays.pin_dx.tolist()
+        self._pin_dy = arrays.pin_dy.tolist()
+        self._ptr = self.net_ptr.tolist()
+        self._w = self.weights.tolist()
+        bb = self._bb
+        self._before = ((bb[:, 1] - bb[:, 0]) + (bb[:, 3] - bb[:, 2])).tolist()
+        deg = self._net_deg.tolist()
+        # Each node's nets with at least 2 pins, ascending.
+        self._nets2 = [
+            [net for net in nets if deg[net] >= 2] for nets in self.node_nets
+        ]
 
     # ------------------------------------------------------------------
     # bounding-box maintenance
     # ------------------------------------------------------------------
-    def _refresh_bbox(self, net: int) -> None:
-        start = int(self.net_ptr[net])
-        stop = int(self.net_ptr[net + 1])
-        if stop - start == 0:
-            return
-        px = self.px[start:stop]
-        py = self.py[start:stop]
-        self._bb[net, 0] = px.min()
-        self._bb[net, 1] = px.max()
-        self._bb[net, 2] = py.min()
-        self._bb[net, 3] = py.max()
-
     def _refresh_bboxes(self, nets) -> None:
         """Vectorized bbox refresh for many nets (skips 0-pin nets)."""
         nets = np.asarray(nets, dtype=np.int64)
-        if nets.size <= 8:
-            # Slice min/max per net beats the reduceat setup for the
-            # handful of nets a single accepted move touches.
-            for net in nets.tolist():
-                self._refresh_bbox(net)
-            return
         deg = self._net_deg[nets]
         nets = nets[deg > 0]
         if not nets.size:
@@ -153,42 +155,49 @@ class IncrementalHPWL:
     # ------------------------------------------------------------------
     # move pricing
     # ------------------------------------------------------------------
-    def _affected_nets(self, node_indices) -> np.ndarray:
-        """Sorted unique nets touching any of ``node_indices``."""
-        if not len(node_indices):
-            return np.empty(0, dtype=np.int64)
-        if len(node_indices) == 1:
-            i = node_indices[0]
-            return np.asarray(
-                self._nn_ids[self._nn_ptr[i] : self._nn_ptr[i + 1]],
-                dtype=np.int64,
-            )
-        # Sorted set union over the per-node (already sorted, unique)
-        # Python lists — same result as np.unique over the concatenated
-        # CSR slices, but far cheaper for the tiny sets DP passes score.
+    def _nets_of(self, moves) -> list:
+        """The moved cells' nets with at least 2 pins, ascending."""
+        nets2 = self._nets2
+        if len(moves) == 1:
+            return nets2[moves[0][0]]
         merged = set()
-        for i in node_indices:
-            merged.update(self.node_nets[i])
-        return np.array(sorted(merged), dtype=np.int64)
+        for move in moves:
+            merged.update(nets2[move[0]])
+        return sorted(merged)
 
-    def _dirty_of(self, idx: int):
-        """``idx``'s pins on >=2-pin nets, with their offsets (cached).
-
-        Within any scored pin segment whose nets include all of ``idx``'s
-        >=2-pin nets, exactly these pins take new coordinates when ``idx``
-        moves.
-        """
-        got = self._dirty_cache[idx]
-        if got is None:
-            ids = self._np_ids[self._np_ptr[idx] : self._np_ptr[idx + 1]]
-            if ids.size:
-                ids = ids[self._net_deg[self._pin_net[ids]] >= 2]
-            got = self._dirty_cache[idx] = (
-                ids,
-                self.arrays.pin_dx[ids],
-                self.arrays.pin_dy[ids],
-            )
-        return got
+    def _scan(self, nets, at) -> float:
+        """The delta over ``nets`` with node ``i``'s centre at ``at[i]``."""
+        ptr = self._ptr
+        pin_node = self._pin_node
+        pin_x = self._pin_x
+        pin_y = self._pin_y
+        pin_dx = self._pin_dx
+        pin_dy = self._pin_dy
+        w = self._w
+        before = self._before
+        centre = at.get
+        delta = 0.0
+        for n in nets:
+            xl = yl = _INF
+            xh = yh = -_INF
+            for k in range(ptr[n], ptr[n + 1]):
+                c = centre(pin_node[k])
+                if c is None:
+                    x = pin_x[k]
+                    y = pin_y[k]
+                else:
+                    x = c[0] + pin_dx[k]
+                    y = c[1] + pin_dy[k]
+                if x < xl:
+                    xl = x
+                if x > xh:
+                    xh = x
+                if y < yl:
+                    yl = y
+                if y > yh:
+                    yh = y
+            delta += w[n] * (((xh - xl) + (yh - yl)) - before[n])
+        return delta
 
     def delta_for_moves(self, moves) -> float:
         """HPWL change if each ``(node_index, new_cx, new_cy)`` applied.
@@ -198,173 +207,300 @@ class IncrementalHPWL:
         """
         if not moves:
             return 0.0
-        return float(self._score_general([moves])[0])
+        return self._scan(
+            self._nets_of(moves), {i: (x, y) for i, x, y in moves}
+        )
 
-    def score_moves(self, move_sets) -> np.ndarray:
-        """Batched :meth:`delta_for_moves` over many candidate move sets.
+    def score_moves(self, move_sets) -> list:
+        """:meth:`delta_for_moves` of each set in ``move_sets``.
 
-        ``move_sets`` is a sequence of move lists; the result is one
-        delta per set, bit-identical to pricing each set on its own.
         Nothing is mutated, so callers may score speculative candidates
         freely and apply only the winner.
         """
-        n_sets = len(move_sets)
-        if n_sets == 0:
-            return np.zeros(0)
-        if n_sets > 1 and all(len(ms) == 1 for ms in move_sets):
-            first = move_sets[0][0][0]
-            if all(ms[0][0] == first for ms in move_sets):
-                return self._score_single_node(
-                    first,
-                    [(ms[0][1], ms[0][2]) for ms in move_sets],
-                )
-        return self._score_general(move_sets)
+        return [self.delta_for_moves(ms) for ms in move_sets]
 
-    def _score_single_node(self, idx: int, targets) -> np.ndarray:
-        """All candidate targets of one node, priced in one sweep.
+    def score_reorders(self, move_sets) -> list:
+        """:meth:`score_moves` for sets that all move the same cells.
 
-        Per affected net we pre-reduce the *other* pins' extremes and the
-        node's own pin-offset extremes; each target's bounds are then two
-        min/max ops per axis instead of a pin rescan.  Exact because
-        rounding is monotone: ``min_k fl(tx+dx_k) == fl(tx + min_k dx_k)``.
+        Each net's unmoved pins are reduced once per call, and each set
+        then folds in only its moved pins.  A reorder window's
+        permutations are such sets.
         """
-        nets = self._affected_nets([idx])
-        nets = nets[self._net_deg[nets] >= 2]
-        n_t = len(targets)
-        if not nets.size:
-            return np.zeros(n_t)
-        deg = self._net_deg[nets]
-        pins = _multi_arange(self.net_ptr[nets], deg)
-        gnode = self.arrays.pin_node[pins]
-        own = gnode == idx
-        bounds = np.zeros(len(nets), dtype=np.int64)
+        if not move_sets:
+            return []
+        cells = {move[0] for move in move_sets[0]}
+        ptr = self._ptr
+        pin_node = self._pin_node
+        pin_x = self._pin_x
+        pin_y = self._pin_y
+        pin_dx = self._pin_dx
+        pin_dy = self._pin_dy
+        w = self._w
+        before = self._before
+        nets = []  # (weight, before, unmoved extremes, moved pins)
+        for n in self._nets_of(move_sets[0]):
+            xl = yl = _INF
+            xh = yh = -_INF
+            moved = []
+            for k in range(ptr[n], ptr[n + 1]):
+                node = pin_node[k]
+                if node in cells:
+                    moved.append((node, pin_dx[k], pin_dy[k]))
+                    continue
+                x = pin_x[k]
+                y = pin_y[k]
+                if x < xl:
+                    xl = x
+                if x > xh:
+                    xh = x
+                if y < yl:
+                    yl = y
+                if y > yh:
+                    yh = y
+            nets.append((w[n], before[n], xl, xh, yl, yh, moved))
+        out = []
+        for ms in move_sets:
+            at = {i: (x, y) for i, x, y in ms}
+            delta = 0.0
+            for wn, bn, xl, xh, yl, yh, moved in nets:
+                for node, dx, dy in moved:
+                    c = at[node]
+                    x = c[0] + dx
+                    y = c[1] + dy
+                    if x < xl:
+                        xl = x
+                    if x > xh:
+                        xh = x
+                    if y < yl:
+                        yl = y
+                    if y > yh:
+                        yh = y
+                delta += wn * (((xh - xl) + (yh - yl)) - bn)
+            out.append(delta)
+        return out
+
+    def score_swaps(self, move_sets) -> list:
+        """:meth:`score_moves` for sets whose first move is one anchor cell.
+
+        Once per call, each of the anchor's nets is reduced to the other
+        pins' extremes and the anchor's offset extremes; such a net costs
+        a set one min or max per bound.  A set scans pin by pin only the
+        nets of its other moved cells.  A cell's swap candidates are such
+        sets.
+        """
+        if not move_sets:
+            return []
+        anchor = move_sets[0][0][0]
+        ptr = self._ptr
+        pin_node = self._pin_node
+        pin_x = self._pin_x
+        pin_y = self._pin_y
+        pin_dx = self._pin_dx
+        pin_dy = self._pin_dy
+        w = self._w
+        before = self._before
+        nets2 = self._nets2
+        reduced = {}
+        for n in nets2[anchor]:
+            xl = yl = dxl = dyl = _INF
+            xh = yh = dxh = dyh = -_INF
+            for k in range(ptr[n], ptr[n + 1]):
+                if pin_node[k] == anchor:
+                    x = pin_dx[k]
+                    y = pin_dy[k]
+                    if x < dxl:
+                        dxl = x
+                    if x > dxh:
+                        dxh = x
+                    if y < dyl:
+                        dyl = y
+                    if y > dyh:
+                        dyh = y
+                    continue
+                x = pin_x[k]
+                y = pin_y[k]
+                if x < xl:
+                    xl = x
+                if x > xh:
+                    xh = x
+                if y < yl:
+                    yl = y
+                if y > yh:
+                    yh = y
+            reduced[n] = (w[n], before[n], xl, xh, yl, yh, dxl, dxh, dyl, dyh)
+        out = []
+        for ms in move_sets:
+            _, tx, ty = ms[0]
+            if len(ms) == 2:
+                partner, ptx, pty = ms[1]
+                scanned = nets2[partner]
+            else:
+                partner = None
+                scanned = self._nets_of(ms[1:])
+            at = {i: (x, y) for i, x, y in ms}
+            delta = 0.0
+            for n in sorted(reduced.keys() | scanned):
+                r = reduced.get(n)
+                if r is None and partner is not None:
+                    # Only the partner moves on this net.
+                    xl = yl = _INF
+                    xh = yh = -_INF
+                    for k in range(ptr[n], ptr[n + 1]):
+                        if pin_node[k] == partner:
+                            x = ptx + pin_dx[k]
+                            y = pty + pin_dy[k]
+                        else:
+                            x = pin_x[k]
+                            y = pin_y[k]
+                        if x < xl:
+                            xl = x
+                        if x > xh:
+                            xh = x
+                        if y < yl:
+                            yl = y
+                        if y > yh:
+                            yh = y
+                    delta += w[n] * (((xh - xl) + (yh - yl)) - before[n])
+                elif r is None or n in scanned:
+                    delta += self._scan((n,), at)
+                else:
+                    wn, bn, xl, xh, yl, yh, dxl, dxh, dyl, dyh = r
+                    x = tx + dxl
+                    if x < xl:
+                        xl = x
+                    x = tx + dxh
+                    if x > xh:
+                        xh = x
+                    y = ty + dyl
+                    if y < yl:
+                        yl = y
+                    y = ty + dyh
+                    if y > yh:
+                        yh = y
+                    delta += wn * (((xh - xl) + (yh - yl)) - bn)
+            out.append(delta)
+        return out
+
+    def score_relocations(self, cells, slots) -> np.ndarray:
+        """Every single-cell move of a batch, priced in one array call.
+
+        Returns the ``(k, k)`` matrix whose ``[a, b]`` entry is
+        ``delta_for_moves([(cells[a], *slots[b])])``, with a zero
+        diagonal.  Each (cell, net) pair is reduced once to the other
+        pins' extremes and the cell's offset extremes.  Each cell's nets
+        are padded to a common count with ``+0.0`` terms, which leave a
+        sum that starts at ``+0.0`` unchanged.
+        """
+        k = len(cells)
+        cost = np.zeros((k, k))
+        nets2 = self._nets2
+        counts = [len(nets2[c]) for c in cells]
+        width = max(counts, default=0)
+        if not width:
+            return cost
+        pair_net = np.array(
+            [n for c in cells for n in nets2[c]], dtype=np.int64
+        )
+        pair_row = np.repeat(np.arange(k), counts)
+        starts = np.zeros(k, dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        pair_col = np.arange(len(pair_net)) - starts[pair_row]
+        deg = self._net_deg[pair_net]
+        pins = _multi_arange(self.net_ptr[pair_net], deg)
+        own = self.arrays.pin_node[pins] == np.repeat(
+            np.asarray(cells, dtype=np.int64)[pair_row], deg
+        )
+        bounds = np.zeros(len(pair_net), dtype=np.int64)
         np.cumsum(deg[:-1], out=bounds[1:])
+
+        def padded(per_pair):
+            out = np.zeros((k, 1, width))
+            out[pair_row, 0, pair_col] = per_pair
+            return out
+
+        def others(reduce, values, fill):
+            return padded(reduce.reduceat(np.where(own, fill, values), bounds))
+
+        def offsets(reduce, values, fill):
+            return padded(reduce.reduceat(np.where(own, values, fill), bounds))
+
         inf = np.inf
         px = self.px[pins]
         py = self.py[pins]
-        oth_xl = np.minimum.reduceat(np.where(own, inf, px), bounds)
-        oth_xh = np.maximum.reduceat(np.where(own, -inf, px), bounds)
-        oth_yl = np.minimum.reduceat(np.where(own, inf, py), bounds)
-        oth_yh = np.maximum.reduceat(np.where(own, -inf, py), bounds)
         dx = self.arrays.pin_dx[pins]
         dy = self.arrays.pin_dy[pins]
-        own_dx_lo = np.minimum.reduceat(np.where(own, dx, inf), bounds)
-        own_dx_hi = np.maximum.reduceat(np.where(own, dx, -inf), bounds)
-        own_dy_lo = np.minimum.reduceat(np.where(own, dy, inf), bounds)
-        own_dy_hi = np.maximum.reduceat(np.where(own, dy, -inf), bounds)
-        tx = np.array([t[0] for t in targets], dtype=float)[:, None]
-        ty = np.array([t[1] for t in targets], dtype=float)[:, None]
-        xl = np.minimum(oth_xl[None, :], tx + own_dx_lo[None, :])
-        xh = np.maximum(oth_xh[None, :], tx + own_dx_hi[None, :])
-        yl = np.minimum(oth_yl[None, :], ty + own_dy_lo[None, :])
-        yh = np.maximum(oth_yh[None, :], ty + own_dy_hi[None, :])
-        bb = self._bb[nets]
-        before = (bb[:, 1] - bb[:, 0]) + (bb[:, 3] - bb[:, 2])
-        terms = self.weights[nets][None, :] * (
-            ((xh - xl) + (yh - yl)) - before[None, :]
+        sx = np.array([s[0] for s in slots], dtype=float)[None, :, None]
+        sy = np.array([s[1] for s in slots], dtype=float)[None, :, None]
+        xl = np.minimum(
+            others(np.minimum, px, inf), sx + offsets(np.minimum, dx, inf)
         )
-        out = np.zeros(n_t)
-        for j in range(len(nets)):  # sequential, ascending net order
-            out = out + terms[:, j]
-        return out
-
-    def _score_general(self, move_sets) -> np.ndarray:
-        n_sets = len(move_sets)
-        deg_list = self._deg_list
-        node_nets = self.node_nets
-        # Per-set affected nets (sorted, >= 2 pins) via Python set unions
-        # of the per-node net lists — the sets are tiny, so this beats
-        # the array machinery by a wide margin.
-        nets_lists = []
-        for ms in move_sets:
-            if len(ms) == 1:
-                merged = node_nets[ms[0][0]]
-            else:
-                u = set()
-                for idx, _, _ in ms:
-                    u.update(node_nets[idx])
-                merged = sorted(u)
-            nets_lists.append([n for n in merged if deg_list[n] >= 2])
-        counts = [len(l) for l in nets_lists]
-        if not any(counts):
-            return np.zeros(n_sets)
-        nets_all = np.array(
-            [n for l in nets_lists for n in l], dtype=np.int64
+        xh = np.maximum(
+            others(np.maximum, px, -inf), sx + offsets(np.maximum, dx, -inf)
         )
-        deg = self._net_deg[nets_all]
-        pins = _multi_arange(self.net_ptr[nets_all], deg)
-        bpx = self.px[pins]
-        bpy = self.py[pins]
-        # Net → pin segment starts.  Each set's pins are one contiguous,
-        # strictly increasing slice (ranges of ascending nets), so a
-        # moved node's dirty pins — all its >=2-pin-net pins, which the
-        # set's net union necessarily covers — locate by searchsorted.
-        pin_cum = np.zeros(len(nets_all) + 1, dtype=np.int64)
-        np.cumsum(deg, out=pin_cum[1:])
-        net_pos = 0
-        for s, ms in enumerate(move_sets):
-            c = counts[s]
-            if not c:
-                continue
-            a = int(pin_cum[net_pos])
-            b = int(pin_cum[net_pos + c])
-            net_pos += c
-            seg = pins[a:b]
-            for idx, nx, ny in ms:
-                dirty, ddx, ddy = self._dirty_of(idx)
-                if dirty.size:
-                    pos = a + seg.searchsorted(dirty)
-                    bpx[pos] = nx + ddx
-                    bpy[pos] = ny + ddy
-        bounds = pin_cum[:-1]
-        xl = np.minimum.reduceat(bpx, bounds)
-        xh = np.maximum.reduceat(bpx, bounds)
-        yl = np.minimum.reduceat(bpy, bounds)
-        yh = np.maximum.reduceat(bpy, bounds)
-        bb = self._bb[nets_all]
-        before = (bb[:, 1] - bb[:, 0]) + (bb[:, 3] - bb[:, 2])
-        terms = (
-            self.weights[nets_all] * (((xh - xl) + (yh - yl)) - before)
-        ).tolist()
-        # Sequential per-set accumulation in ascending net order: nets of
-        # one set are contiguous and sorted, so a linear walk suffices.
-        out = [0.0] * n_sets
-        net_pos = 0
-        for s in range(n_sets):
-            acc = 0.0
-            for j in range(net_pos, net_pos + counts[s]):
-                acc += terms[j]
-            out[s] = acc
-            net_pos += counts[s]
-        return np.array(out)
+        yl = np.minimum(
+            others(np.minimum, py, inf), sy + offsets(np.minimum, dy, inf)
+        )
+        yh = np.maximum(
+            others(np.maximum, py, -inf), sy + offsets(np.maximum, dy, -inf)
+        )
+        bb = self._bb[pair_net]
+        before = padded((bb[:, 1] - bb[:, 0]) + (bb[:, 3] - bb[:, 2]))
+        valid = padded(1.0) > 0.0
+        terms = padded(self.weights[pair_net]) * (
+            ((xh - xl) + (yh - yl)) - before
+        )
+        terms = np.where(valid, terms, 0.0)
+        for j in range(width):  # sequential, ascending net order
+            cost = cost + terms[:, :, j]
+        np.fill_diagonal(cost, 0.0)
+        return cost
 
     # ------------------------------------------------------------------
     def apply_moves(self, moves) -> None:
-        """Commit moves: update cached coordinates and the design nodes."""
+        """Commit moves: update the coordinates, boxes and design nodes."""
         if not moves:
             return
         # Commit lists are tiny (1-3 moves), so per-pin scalar writes and
-        # per-net slice refreshes beat array temporaries.  The float64
-        # expressions match the original per-net update exactly.
-        pin_dx = self.arrays.pin_dx
-        pin_dy = self.arrays.pin_dy
+        # per-net list reductions beat array temporaries.  Each value is
+        # computed once and written to the array and to its mirror.
+        nodes = self.design.nodes
+        pin_dx = self._pin_dx
+        pin_dy = self._pin_dy
+        pin_x = self._pin_x
+        pin_y = self._pin_y
         px = self.px
         py = self.py
         for idx, ncx, ncy in moves:
-            node = self.design.nodes[idx]
-            node.move_center_to(ncx, ncy)
+            nodes[idx].move_center_to(ncx, ncy)
             self.cx[idx] = ncx
             self.cy[idx] = ncy
             for k in self._node_pins[idx]:
-                px[k] = ncx + pin_dx[k]
-                py[k] = ncy + pin_dy[k]
+                x = ncx + pin_dx[k]
+                y = ncy + pin_dy[k]
+                pin_x[k] = px[k] = x
+                pin_y[k] = py[k] = y
         if len(moves) == 1:
-            for n in self.node_nets[moves[0][0]]:
-                self._refresh_bbox(n)
+            nets = self.node_nets[moves[0][0]]
         else:
-            self._refresh_bboxes(
-                self._affected_nets([idx for idx, _, _ in moves])
-            )
+            nets = set()
+            for move in moves:
+                nets.update(self.node_nets[move[0]])
+        ptr = self._ptr
+        bb = self._bb
+        before = self._before
+        for n in nets:
+            start = ptr[n]
+            stop = ptr[n + 1]
+            if start == stop:
+                continue
+            xs = pin_x[start:stop]
+            ys = pin_y[start:stop]
+            xl = min(xs)
+            xh = max(xs)
+            yl = min(ys)
+            yh = max(ys)
+            bb[n] = (xl, xh, yl, yh)
+            before[n] = (xh - xl) + (yh - yl)
 
     # ------------------------------------------------------------------
     def optimal_region(self, idx: int):

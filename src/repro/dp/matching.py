@@ -4,12 +4,13 @@ Classic NTUplace detailed-placement move: collect a *net-independent* set
 of same-footprint cells (no two share a net, so their HPWL contributions
 are separable), build the cost matrix of every cell in every member's
 slot, and solve the assignment exactly (Hungarian via SciPy).  The
-result can only improve HPWL, by optimality of the assignment.
+result can only improve HPWL, by optimality of the assignment.  The
+whole cost matrix of a batch is one
+:meth:`IncrementalHPWL.score_relocations` call.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.db import NodeKind
@@ -57,16 +58,7 @@ def matching_pass(
         slots = [
             (design.nodes[i].cx, design.nodes[i].cy) for i in batch
         ]
-        k = len(batch)
-        cost = np.zeros((k, k))
-        for a in range(k):
-            # All of cell a's candidate slots priced in one batched call
-            # (the diagonal stays 0, as the scalar loop left it).
-            others = [b for b in range(k) if b != a]
-            row = inc.score_moves(
-                [[(batch[a], slots[b][0], slots[b][1])] for b in others]
-            )
-            cost[a, others] = row
+        cost = inc.score_relocations(batch, slots)
         rows, cols = linear_sum_assignment(cost)
         moves = [
             (batch[a], slots[b][0], slots[b][1])

@@ -1,4 +1,11 @@
-"""Local reordering: optimal permutation of small windows within a sub-row."""
+"""Local reordering: optimal permutation of small windows within a sub-row.
+
+A window's permutations all move the same cells, so
+:meth:`IncrementalHPWL.score_reorders` prices them in one call that
+reduces each net's other pins once.  Positions and placed sizes are read
+from the design's columns at pass start into lists; the lists follow the
+design because the cells of each committed window are re-read from it.
+"""
 
 from __future__ import annotations
 
@@ -17,10 +24,18 @@ def local_reorder_pass(
     permuted cells are repacked from the window's original left edge and
     their total width is unchanged.
     """
+    x_col, y_col = design.pull_corners()
+    xs = x_col.tolist()
+    ys = y_col.tolist()
+    w, h = design.placed_sizes()
+    widths = w.tolist()
+    heights = h.tolist()
+    nodes = design.nodes
+    x_of = xs.__getitem__
     accepted = 0
     gain = 0.0
     for sr in submap.subrows:
-        ids = sorted(sr.cells, key=lambda i: design.nodes[i].x)
+        ids = sorted(sr.cells, key=x_of)
         sr.cells = ids
         if len(ids) < 2:
             continue
@@ -28,8 +43,7 @@ def local_reorder_pass(
             group = ids[start : start + window]
             if len(group) < 2:
                 continue
-            nodes = [design.nodes[i] for i in group]
-            left = min(n.x for n in nodes)
+            left = min(xs[i] for i in group)
             move_sets = []
             for perm in permutations(group):
                 if list(perm) == group:
@@ -37,20 +51,17 @@ def local_reorder_pass(
                 x = left
                 moves = []
                 for i in perm:
-                    node = design.nodes[i]
-                    moves.append(
-                        (i, x + node.placed_width / 2.0, node.y + node.placed_height / 2.0)
-                    )
-                    x += node.placed_width
+                    width = widths[i]
+                    moves.append((i, x + width / 2.0, ys[i] + heights[i] / 2.0))
+                    x += width
                 move_sets.append(moves)
-            # One batched pricing of every non-identity permutation; the
-            # winner selection walks them in generation order, exactly as
-            # the one-at-a-time loop did.
-            deltas = inc.score_moves(move_sets)
+            # One pricing of every non-identity permutation; the winner
+            # selection walks them in generation order, exactly as the
+            # one-at-a-time loop did.
+            deltas = inc.score_reorders(move_sets)
             best_delta = 0.0
             best_moves = None
             for moves, delta in zip(move_sets, deltas):
-                delta = float(delta)
                 if delta < best_delta - 1e-9:
                     best_delta = delta
                     best_moves = moves
@@ -58,9 +69,10 @@ def local_reorder_pass(
                 inc.apply_moves(best_moves)
                 accepted += 1
                 gain -= best_delta
+                for i in group:
+                    xs[i] = nodes[i].x
+                    ys[i] = nodes[i].y
                 # Keep the order list consistent with new x positions.
-                ids[start : start + window] = sorted(
-                    group, key=lambda i: design.nodes[i].x
-                )
-        sr.cells = sorted(ids, key=lambda i: design.nodes[i].x)
+                ids[start : start + window] = sorted(group, key=x_of)
+        sr.cells = sorted(ids, key=x_of)
     return accepted, gain

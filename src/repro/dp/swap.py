@@ -6,17 +6,19 @@ partner.  Swapping equal-width cells between their slots preserves
 legality exactly, including fence domains (partners must share the fence
 region id).
 
-The sweep prices every candidate pairing of a cell in one batched
-:meth:`IncrementalHPWL.score_moves` call and computes all optimal
-regions at pass start (one vectorized median evaluation instead of one
-per cell).  Candidate positions are read from mirror arrays refreshed
-from the design after every committed swap, so scoring sees exactly what
-re-reading the nodes would — bit for bit.  ``_SlotIndex`` buckets by
-exact integer site-width keys (``round(placed_width / site_width)``)
-rather than ``round(width, 6)`` floats, so near-equal widths can't land
-in different buckets on different platforms, and builds the ordering of
-the original grouped sorted lists (a golden twin under
-``tests/reference/``) with one global ``np.lexsort``.
+All optimal regions come from the pass-start placement, in one
+vectorized median evaluation.  A cell's candidate pairings all move
+that cell, so :meth:`IncrementalHPWL.score_swaps` prices them in one
+call that reduces the cell's nets once and scans only the partners'
+nets per pairing.  Candidate positions are read from mirror lists
+refreshed from the design after every committed swap, so scoring sees
+exactly what re-reading the nodes would — bit for bit.  ``_SlotIndex``
+buckets by exact integer site-width keys
+(``round(placed_width / site_width)``) rather than ``round(width, 6)``
+floats, so near-equal widths can't land in different buckets on
+different platforms, and builds the ordering of the original grouped
+sorted lists (a golden twin under ``tests/reference/``) with one global
+``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ def _swap_sweep(
         if not cands:
             continue
         move_sets = [[(idx, mx[c], my[c]), (c, cx, cy)] for c in cands]
-        deltas = inc.score_moves(move_sets)
+        deltas = inc.score_swaps(move_sets)
         for j, other_idx in enumerate(cands):
             moves = move_sets[j]
             if gate is not None and not gate(moves):

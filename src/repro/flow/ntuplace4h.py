@@ -387,6 +387,12 @@ class NTUplace4H:
                             degrade(
                                 "dp", "budget_exhausted", **watchdog.describe()
                             )
+                        if dp_report.hpwl_mismatch:
+                            degrade(
+                                "dp",
+                                "hpwl_mismatch",
+                                hpwl_after=dp_report.hpwl_after,
+                            )
                     except Exception as exc:
                         # Keep the legalized placement.
                         degrade(

@@ -21,7 +21,25 @@ from repro.route.rudy import rudy_map
 # dp.hpwl_delta
 # ----------------------------------------------------------------------
 class ReferenceIncrementalHPWL(IncrementalHPWL):
-    """``IncrementalHPWL`` on the original per-pin / per-net loops."""
+    """``IncrementalHPWL`` on the original per-pin / per-net loops.
+
+    Every pricing entry point prices each move set on its own with
+    ``_delta_for_moves_reference``, from the arrays: the twin never
+    reads the Python-list mirrors, which its ``apply_moves`` leaves
+    stale.
+    """
+
+    def _refresh_bbox(self, net: int) -> None:
+        start = int(self.net_ptr[net])
+        stop = int(self.net_ptr[net + 1])
+        if stop - start == 0:
+            return
+        px = self.px[start:stop]
+        py = self.py[start:stop]
+        self._bb[net, 0] = px.min()
+        self._bb[net, 1] = px.max()
+        self._bb[net, 2] = py.min()
+        self._bb[net, 3] = py.max()
 
     def _refresh_bboxes(self, nets) -> None:
         """The per-net bbox loop (the initial fill of every net)."""
@@ -71,8 +89,23 @@ class ReferenceIncrementalHPWL(IncrementalHPWL):
 
     def score_moves(self, move_sets) -> np.ndarray:
         return np.array(
-            [self.delta_for_moves(ms) for ms in move_sets], dtype=float
+            [self._delta_for_moves_reference(ms) for ms in move_sets],
+            dtype=float,
         )
+
+    score_reorders = score_moves
+    score_swaps = score_moves
+
+    def score_relocations(self, cells, slots) -> np.ndarray:
+        k = len(cells)
+        cost = np.zeros((k, k))
+        for a in range(k):
+            for b in range(k):
+                if a != b:
+                    cost[a, b] = self._delta_for_moves_reference(
+                        [(cells[a], slots[b][0], slots[b][1])]
+                    )
+        return cost
 
     def _apply_moves_reference(self, moves) -> None:
         for idx, ncx, ncy in moves:

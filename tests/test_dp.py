@@ -158,3 +158,26 @@ class TestEngine:
         d, sm = rowed_design(seed=9)
         report = DetailedPlacer(DPConfig(rounds=1, congestion_aware=False)).run(d, sm)
         assert 0 <= report.improvement <= 1
+
+    def test_books_balance(self):
+        d, sm = rowed_design(n_cells=40, n_nets=30, seed=7)
+        report = DetailedPlacer(DPConfig(congestion_aware=False)).run(d, sm)
+        assert sum(p[1] for p in report.passes) > 0
+        assert not report.hpwl_mismatch
+
+    def test_corrupt_mirror_unbalances_the_books(self, monkeypatch):
+        from repro.dp import engine
+
+        reorder = engine.local_reorder_pass
+
+        def corrupt_then_reorder(design, inc, submap, **kw):
+            # The widest net's recorded HPWL grows, so every window
+            # moving one of its cells seems to gain.
+            net = max(range(len(inc._before)), key=lambda n: inc._ptr[n + 1] - inc._ptr[n])
+            inc._before[net] += 1e3
+            return reorder(design, inc, submap, **kw)
+
+        monkeypatch.setattr(engine, "local_reorder_pass", corrupt_then_reorder)
+        d, sm = rowed_design(n_cells=40, n_nets=30, seed=7)
+        report = DetailedPlacer(DPConfig(rounds=1, congestion_aware=False)).run(d, sm)
+        assert report.hpwl_mismatch

@@ -7,10 +7,12 @@ move scoring, optimal regions, the array-based Tetris/Abacus legalizers,
 the legality audit, congestion spreading, and the end-to-end legalize+DP
 pipeline.  Kernel tests call the twin directly; the pipeline tests run
 under ``use_reference()``, on small generated designs and on suite
-designs (rh02 on every push, rh06 under the ``nightly`` marker), whose
-quality metrics must also stay within tolerance of the values committed
-in :data:`SUITE_QUALITY`.
+designs (rh02 on every push; rh03, which has fences, and rh06 under the
+``nightly`` marker), whose quality metrics must also stay within
+tolerance of the values committed in :data:`SUITE_QUALITY`.
 """
+
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -39,6 +41,14 @@ SUITE_QUALITY = {
         "legal_ok": 1,
         "max_displacement": 57.13031206229788,
     },
+    "rh03": {
+        "hpwl": 117517.90645481276,
+        "dp_improvement": 0.11409142794397499,
+        "dp_accepted": 3881,
+        "dp_pass_count": 9,
+        "legal_ok": 1,
+        "max_displacement": 76.093717802626,
+    },
     "rh06": {
         "hpwl": 1135147.4025710304,
         "dp_improvement": 0.13722558375927887,
@@ -58,8 +68,12 @@ def bench(seed=11, cells=200, macros=2, **kw):
     return make_benchmark(spec)
 
 
-def rowed_design(n_cells=30, n_rows=6, sites=60, n_nets=20, seed=0):
-    """A small rowed design including degenerate 0- and 1-pin nets."""
+def rowed_design(n_cells=30, n_rows=6, sites=60, n_nets=20, seed=0, offsets=False):
+    """A small rowed design including degenerate 0- and 1-pin nets.
+
+    With ``offsets``, pins sit off the cell centres, some cells have two
+    pins on one net, and nets carry weights.
+    """
     rng = np.random.default_rng(seed)
     d = Design("t")
     for r in range(n_rows):
@@ -76,9 +90,17 @@ def rowed_design(n_cells=30, n_rows=6, sites=60, n_nets=20, seed=0):
     for j in range(n_nets):
         k = int(rng.integers(2, 6))
         members = rng.choice(n_cells, size=k, replace=False)
-        d.add_net(Net(f"n{j}", pins=[Pin(node=int(m)) for m in members]))
+        if not offsets:
+            d.add_net(Net(f"n{j}", pins=[Pin(node=int(m)) for m in members]))
+            continue
+        pins = []
+        for m in members:
+            for _ in range(1 + int(rng.random() < 0.3)):
+                dx, dy = rng.uniform(-0.4, 0.4, size=2)
+                pins.append(Pin(node=int(m), dx=float(dx), dy=float(dy)))
+        d.add_net(Net(f"n{j}", pins=pins, weight=float(rng.uniform(0.5, 2.0))))
     # Degenerate nets: contribute zero HPWL but must not break any of
-    # the incidence/dirty-pin bookkeeping.
+    # the incidence or pricing bookkeeping.
     d.add_net(Net("single", pins=[Pin(node=0)]))
     d.add_net(Net("empty", pins=[]))
     tetris_legalize(d)
@@ -136,7 +158,7 @@ class TestDeltaEquivalence:
         ref, opt = pair(lambda: rowed_design(seed=seed))
         rng = np.random.default_rng(seed + 100)
         for ms in random_moves(ref.design, rng, 40, max_nodes=3):
-            assert ref.delta_for_moves(ms) == opt.delta_for_moves(ms)
+            assert bits(ref.delta_for_moves(ms)) == bits(opt.delta_for_moves(ms))
 
     def test_score_moves_single_node_batch_bitwise(self):
         ref, opt = pair(rowed_design)
@@ -145,13 +167,13 @@ class TestDeltaEquivalence:
             [(0, float(rng.uniform(0, 14)), float(rng.uniform(0, 5)))]
             for _ in range(12)
         ]
-        assert np.array_equal(ref.score_moves(targets), opt.score_moves(targets))
+        assert np.array_equal(bits(ref.score_moves(targets)), bits(opt.score_moves(targets)))
 
     def test_score_moves_general_bitwise(self):
         ref, opt = pair(rowed_design)
         rng = np.random.default_rng(8)
         move_sets = random_moves(ref.design, rng, 25, max_nodes=3)
-        assert np.array_equal(ref.score_moves(move_sets), opt.score_moves(move_sets))
+        assert np.array_equal(bits(ref.score_moves(move_sets)), bits(opt.score_moves(move_sets)))
 
     def test_apply_moves_keeps_state_bitwise(self):
         ref, opt = pair(rowed_design)
@@ -169,6 +191,198 @@ class TestDeltaEquivalence:
         r = ref.optimal_regions(cells)
         o = opt.optimal_regions(cells)
         assert r == o
+
+
+def bits(values) -> np.ndarray:
+    """The float64 values as their int64 bit patterns."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def widest_net_cells(d) -> list:
+    """The distinct cells of the net with the most pins."""
+    net = max(d.nets, key=lambda n: len(n.pins))
+    return sorted({p.node for p in net.pins})
+
+
+class TestPricingPaths:
+    """Every pricing entry point against the twin, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_edge_case_sets_bitwise(self, seed):
+        ref, opt = pair(lambda: rowed_design(seed=seed, offsets=True))
+        d = opt.design
+        rng = np.random.default_rng(seed)
+        shared = widest_net_cells(d)
+        assert len(shared) >= 3
+
+        def target():
+            return float(rng.uniform(0, 14)), float(rng.uniform(0, 5))
+
+        unconnected = [n.index for n in d.nodes if not opt.node_nets[n.index]]
+        sets = [
+            [(i, *target()) for i in shared[:3]],  # three moved cells on one net
+            [(0, *target())],  # cell 0 holds the 1-pin net
+            [(0, *target()), (shared[0], *target())],
+            [(i, float(opt.cx[i]), float(opt.cy[i])) for i in shared[:2]],
+            [(shared[0], float(opt.cx[shared[0]]), float(opt.cy[shared[0]]))],
+            [(i, *target()) for i in unconnected[:1]],
+        ] + random_moves(d, rng, 30, max_nodes=3)
+        for ms in sets:
+            assert bits(opt.delta_for_moves(ms)) == bits(ref.delta_for_moves(ms))
+        assert np.array_equal(bits(opt.score_moves(sets)), bits(ref.score_moves(sets)))
+        # Sets that all move the anchor first, with partners on and off
+        # its nets, and with several partners.
+        anchor = shared[0]
+        partners = shared[1:] + [n.index for n in d.nodes if n.index not in shared]
+        anchored = [[(anchor, *target()), (c, *target())] for c in partners[:10]]
+        anchored.append([(anchor, *target())])
+        anchored.append([(anchor, *target()), (shared[1], *target()), (0, *target())])
+        assert np.array_equal(bits(opt.score_swaps(anchored)), bits(ref.score_swaps(anchored)))
+        # Sets that all move the same cells.
+        same = [[(i, *target()) for i in shared[:3]] for _ in range(6)]
+        same.append([(i, float(opt.cx[i]), float(opt.cy[i])) for i in shared[:3]])
+        assert np.array_equal(bits(opt.score_reorders(same)), bits(ref.score_reorders(same)))
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_reorder_window_permutations_bitwise(self, size):
+        ref, opt = pair(lambda: rowed_design(seed=5, offsets=True))
+        d = opt.design
+        w, h = d.placed_sizes()
+        rng = np.random.default_rng(size)
+        groups = [widest_net_cells(d)[:size]] + [
+            [int(i) for i in rng.choice(len(d.nodes), size=size, replace=False)]
+            for _ in range(20)
+        ]
+        for group in groups:
+            left = min(d.nodes[i].x for i in group)
+            sets = []
+            for perm in permutations(group):
+                x = left
+                moves = []
+                for i in perm:
+                    moves.append((i, x + w[i] / 2.0, d.nodes[i].y + h[i] / 2.0))
+                    x += w[i]
+                sets.append(moves)
+            assert np.array_equal(bits(opt.score_reorders(sets)), bits(ref.score_reorders(sets)))
+
+    @pytest.mark.parametrize("k", [2, 5, 13, 24])
+    def test_relocation_batches_bitwise(self, k):
+        d = bench(seed=11)
+        ref, opt = ReferenceIncrementalHPWL(d), IncrementalHPWL(d)
+        rng = np.random.default_rng(k)
+        movable = [n.index for n in d.nodes if n.is_movable]
+        cells = [int(i) for i in rng.choice(movable, size=k, replace=False)]
+        if k > 2:
+            assert len({len(opt.node_nets[c]) for c in cells}) > 1
+        slots = [(d.nodes[i].cx, d.nodes[i].cy) for i in cells]
+        assert np.array_equal(
+            bits(opt.score_relocations(cells, slots)),
+            bits(ref.score_relocations(cells, slots)),
+        )
+
+    def test_relocation_batch_with_unconnected_cell(self):
+        ref, opt = pair(lambda: rowed_design(seed=1, offsets=True))
+        d = opt.design
+        cells = [n.index for n in d.nodes if not opt.node_nets[n.index]][:1]
+        cells += widest_net_cells(d)[:3]
+        slots = [(d.nodes[i].cx + 1.0, d.nodes[i].cy) for i in cells]
+        got = opt.score_relocations(cells, slots)
+        assert np.array_equal(bits(got), bits(ref.score_relocations(cells, slots)))
+
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_mirrors_follow_commits(self, seed):
+        d = rowed_design(seed=seed, offsets=True)
+        inc = IncrementalHPWL(d)
+        rng = np.random.default_rng(seed)
+        for ms in random_moves(d, rng, 40, max_nodes=3):
+            inc.apply_moves(ms)
+        assert np.array_equal(bits(inc._pin_x), bits(inc.px))
+        assert np.array_equal(bits(inc._pin_y), bits(inc.py))
+        bb = inc._bb
+        assert np.array_equal(
+            bits(inc._before), bits((bb[:, 1] - bb[:, 0]) + (bb[:, 3] - bb[:, 2]))
+        )
+        assert np.array_equal(bb, IncrementalHPWL(d)._bb)
+
+
+class TestTwinCoverage:
+    #: Public methods the twin inherits: they read only the arrays.
+    ARRAY_READERS = {"net_hpwl", "total", "optimal_region"}
+
+    def test_twin_overrides_every_pricing_method(self):
+        public = {
+            name for name, value in vars(IncrementalHPWL).items()
+            if callable(value) and not name.startswith("_")
+        }
+        pricing = {n for n in public if n == "delta_for_moves" or n.startswith("score_")}
+        assert len(pricing) == 5
+        assert sorted(public - self.ARRAY_READERS - set(vars(ReferenceIncrementalHPWL))) == []
+
+    def test_twin_never_reads_the_mirrors(self, monkeypatch):
+        # Every list attribute but the shared node→net incidence is a
+        # mirror only the optimized class reads.  With each replaced by
+        # an object that raises on use, the optimized class fails and
+        # the twin still runs the whole legalize+DP pipeline.
+        class MirrorRead(Exception):
+            pass
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise MirrorRead(name)
+
+            def __getitem__(self, key):
+                raise MirrorRead(key)
+
+            def __setitem__(self, key, value):
+                raise MirrorRead(key)
+
+            def __iter__(self):
+                raise MirrorRead("iter")
+
+            def __len__(self):
+                raise MirrorRead("len")
+
+        init = IncrementalHPWL.__init__
+
+        def blind_init(self, design):
+            init(self, design)
+            for name, value in list(vars(self).items()):
+                if isinstance(value, list) and name != "node_nets":
+                    setattr(self, name, Untouchable())
+
+        def legalize_and_place():
+            d = bench(seed=5, cells=160, macros=2, num_fences=2)
+            initial_placement(d, seed=3)
+            result = Legalizer().legalize(d)
+            report = DetailedPlacer(DPConfig()).run(d, result.submap)
+            xs = np.array([n.x for n in d.nodes])
+            ys = np.array([n.y for n in d.nodes])
+            return xs, ys, report.passes, d
+
+        expected = legalize_and_place()
+        d = expected[3]
+        blind = IncrementalHPWL.__new__(IncrementalHPWL)
+        blind_init(blind, d)
+        cell = widest_net_cells(d)[0]
+        move = (cell, d.nodes[cell].cx + 1.0, d.nodes[cell].cy)
+        calls = [
+            lambda: blind.delta_for_moves([move]),
+            lambda: blind.score_moves([[move]]),
+            lambda: blind.score_reorders([[move]]),
+            lambda: blind.score_swaps([[move]]),
+            lambda: blind.score_relocations([cell], [move[1:]]),
+            lambda: blind.apply_moves([move]),
+        ]
+        for call in calls:
+            with pytest.raises(MirrorRead):
+                call()
+        monkeypatch.setattr(ReferenceIncrementalHPWL, "__init__", blind_init)
+        with use_reference() as calls:
+            got = legalize_and_place()
+        assert calls["incremental_hpwl"]
+        assert np.array_equal(bits(got[0]), bits(expected[0]))
+        assert np.array_equal(bits(got[1]), bits(expected[1]))
+        assert got[2] == expected[2]
 
 
 class TestPropertyRandomSequences:
@@ -288,6 +502,7 @@ class TestPipelineEquivalence:
             {"seed": 11, "cells": 220, "macros": 2},
             {"seed": 5, "cells": 160, "macros": 2, "num_fences": 2},
             pytest.param("rh02", id="rh02"),
+            pytest.param("rh03", id="rh03", marks=pytest.mark.nightly),
             pytest.param("rh06", id="rh06", marks=pytest.mark.nightly),
         ],
     )

@@ -313,6 +313,23 @@ class TestFaultInjectedFlows:
         assert ("dp", "budget_exhausted") in reasons(result)
         assert result.dp_report.budget_exhausted
 
+    def test_dp_hpwl_mismatch_degrades(self, monkeypatch):
+        from repro.dp import engine
+
+        reorder = engine.local_reorder_pass
+
+        def corrupt_then_reorder(design, inc, submap, **kw):
+            # The widest net's recorded HPWL grows, so every window
+            # moving one of its cells seems to gain.
+            net = max(range(len(inc._before)), key=lambda n: inc._ptr[n + 1] - inc._ptr[n])
+            inc._before[net] += 1e3
+            return reorder(design, inc, submap, **kw)
+
+        monkeypatch.setattr(engine, "local_reorder_pass", corrupt_then_reorder)
+        result = NTUplace4H(fast_flow()).run(bench(seed=76), route=False)
+        assert ("dp", "hpwl_mismatch") in reasons(result)
+        assert result.dp_report.hpwl_mismatch
+
     def test_happy_path_not_degraded(self):
         d = bench(seed=77)
         result = NTUplace4H(fast_flow()).run(d, route=False)
