@@ -10,13 +10,14 @@ The subcommands mirror how the original tools were driven::
 
 ``place`` runs the full NTUplace4h flow (``--wirelength-only`` disables
 the routability machinery; ``--baseline quadratic`` runs the quadratic
-placer as the GP stage of the same flow) and writes the placed design
-back in Bookshelf format, plus an optional SVG.  ``--checkpoint-dir``
-makes the flow write a resumable checkpoint after every stage and
-``--resume`` continues from it; ``--strict`` turns a degraded result
-into a nonzero exit.  On flow failure, ``place``/``route`` exit nonzero
-and print the failing stage plus the last trace event (see
-docs/robustness.md).
+placer as the GP stage of the same flow; ``--set KEY=VALUE`` sets one
+tuning field by its dotted name, as ``submit --set`` does for a served
+job) and writes the placed design back in Bookshelf format, plus an
+optional SVG.  ``--checkpoint-dir`` makes the flow write a resumable
+checkpoint after every stage and ``--resume`` continues from it;
+``--strict`` turns a degraded result into a nonzero exit.  On flow
+failure, ``place``/``route`` exit nonzero and print the failing stage
+plus the last trace event (see docs/robustness.md).
 
 Exit codes: 0 success; 1 flow finished but the placement is not legal
 (or, with ``--strict``, the result is degraded); 2 usage or input
@@ -33,7 +34,7 @@ import sys
 from repro.baselines import run_baseline_flow
 from repro.benchgen import SUITE, BenchmarkSpec, make_benchmark, make_suite_design
 from repro.db import compute_stats
-from repro.flow import FlowConfig, NTUplace4H
+from repro.flow import NTUplace4H, config_from_overrides
 from repro.io import read_bookshelf, write_bookshelf
 from repro.metrics import format_table
 from repro.obs import (
@@ -141,23 +142,25 @@ def _cmd_place(args) -> int:
             file=sys.stderr,
         )
         return 2
+    overrides = _parse_overrides(args.set)
+    if overrides is None:
+        return 2
+    # A baseline runs the same flow with its own GP stage, so --no-dp and
+    # the overrides apply to it too; the overrides apply last.
+    if args.no_dp:
+        overrides = {"run_dp": False, **overrides}
+    try:
+        cfg = config_from_overrides(
+            overrides, wirelength_only=args.wirelength_only or bool(args.baseline)
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     design, code = _read_design(args)
     if design is None:
         return code
-    # A baseline runs the same flow with its own GP stage, so every flag
-    # below applies to it too.
-    cfg = (
-        FlowConfig.wirelength_only()
-        if args.wirelength_only or args.baseline
-        else FlowConfig()
-    )
-    if args.no_dp:
-        cfg.run_dp = False
     cfg.checkpoint_dir = args.checkpoint_dir
     cfg.runs_dir = default_runs_dir(args.runs_dir)
-    _apply_route_knobs(cfg, args)
-    _apply_dp_knobs(cfg, args)
-    _apply_predict_knobs(cfg, args)
     # Always capture a trace: on failure the failing stage and the last
     # event are reported; --trace/--trace-summary just export it.
     tracer = Tracer(profile_resources=args.profile)
@@ -240,81 +243,6 @@ def _cmd_place(args) -> int:
     return 0 if result.legal else 1
 
 
-def _apply_route_knobs(cfg: FlowConfig, args) -> None:
-    """Copy the router tuning flags (when given) onto a flow config."""
-    if args.route_sweeps is not None:
-        cfg.route_sweeps = args.route_sweeps
-    if args.maze_rounds is not None:
-        cfg.route_maze_rounds = args.maze_rounds
-    if args.max_maze_nets is not None:
-        cfg.route_max_maze_nets = args.max_maze_nets
-
-
-def _add_route_knobs(p) -> None:
-    p.add_argument(
-        "--route-sweeps", type=int, metavar="N",
-        help="number of vectorized L-routing sweeps",
-    )
-    p.add_argument(
-        "--maze-rounds", type=int, metavar="N",
-        help="maximum maze rip-up-and-reroute rounds",
-    )
-    p.add_argument(
-        "--max-maze-nets", type=int, metavar="N",
-        help="per-round cap on maze-rerouted segments",
-    )
-
-
-def _apply_predict_knobs(cfg: FlowConfig, args) -> None:
-    """Copy the congestion-estimator flags (when given) onto a flow config."""
-    if args.estimator is not None:
-        cfg.gp.congestion_estimator = args.estimator
-    if args.predict_model is not None:
-        cfg.gp.predict_model = args.predict_model
-    if args.predict_interval is not None:
-        cfg.gp.predict_router_interval = args.predict_interval
-    if args.predict_drift_tol is not None:
-        cfg.gp.predict_drift_tol = args.predict_drift_tol
-
-
-def _add_predict_knobs(p) -> None:
-    p.add_argument(
-        "--estimator", choices=["rudy", "router", "hybrid"],
-        help="GP congestion estimator: rudy (no routing), router "
-        "(look-ahead route every inflation round), or hybrid (learned "
-        "predictor + periodic router, see 'repro predict')",
-    )
-    p.add_argument(
-        "--predict-model", metavar="PATH",
-        help="hybrid estimator: model artifact JSON (default: the "
-        "packaged artifact trained by 'repro predict train')",
-    )
-    p.add_argument(
-        "--predict-interval", type=int, metavar="K",
-        help="hybrid estimator: run the real look-ahead router every "
-        "K-th inflation round (predictor in between)",
-    )
-    p.add_argument(
-        "--predict-drift-tol", type=float, metavar="T",
-        help="hybrid estimator: fall back to the router permanently "
-        "once mean |predicted - routed| congestion over hot tiles "
-        "exceeds T on a router round",
-    )
-
-
-def _apply_dp_knobs(cfg: FlowConfig, args) -> None:
-    """Copy the detailed-placement flags (when given) onto a flow config."""
-    if args.dp_passes is not None:
-        cfg.dp.rounds = args.dp_passes
-
-
-def _add_dp_knobs(p) -> None:
-    p.add_argument(
-        "--dp-passes", type=int, metavar="N",
-        help="number of detailed-placement rounds (swap/reorder/matching)",
-    )
-
-
 def _cmd_route(args) -> int:
     design, code = _read_design(args)
     if design is None:
@@ -322,17 +250,10 @@ def _cmd_route(args) -> int:
     if design.routing is None:
         print("error: benchmark has no .route file", file=sys.stderr)
         return 2
-    cfg = FlowConfig()
-    _apply_route_knobs(cfg, args)
     tracer = Tracer()
     try:
         with use_tracer(tracer):
-            rr = GlobalRouter(
-                design.routing,
-                sweeps=cfg.route_sweeps,
-                maze_rounds=cfg.route_maze_rounds,
-                max_maze_nets=cfg.route_max_maze_nets,
-            ).route(design)
+            rr = GlobalRouter(design.routing).route(design)
     except Exception as exc:
         _report_flow_failure(tracer, exc)
         return 3
@@ -499,15 +420,20 @@ def _parse_assignments(pairs, flag: str):
     return out
 
 
-def _set_value(text: str):
-    """A ``--set`` value: JSON where it parses (``false``, ``12``,
-    ``null``), else the raw string (``router``)."""
+def _parse_overrides(pairs):
+    """``--set KEY=VALUE`` strings -> ``{key: value}``; None on misuse.
+
+    A value is JSON where it parses (``false``, ``12``, ``null``), else
+    the raw string (``router``)."""
     import json as _json
 
-    try:
-        return _json.loads(text)
-    except ValueError:
-        return text
+    overrides = _parse_assignments(pairs, "--set")
+    for key, text in (overrides or {}).items():
+        try:
+            overrides[key] = _json.loads(text)
+        except ValueError:
+            pass
+    return overrides
 
 
 def _cmd_submit(args) -> int:
@@ -518,7 +444,7 @@ def _cmd_submit(args) -> int:
     design = _submit_design(args)
     if design is None:
         return 2
-    overrides = _parse_assignments(args.set, "--set")
+    overrides = _parse_overrides(args.set)
     budgets = _parse_assignments(args.stage_budget, "--stage-budget")
     if overrides is None or budgets is None:
         return 2
@@ -530,7 +456,7 @@ def _cmd_submit(args) -> int:
     if args.wirelength_only:
         options["wirelength_only"] = True
     if overrides:
-        options["config"] = {k: _set_value(v) for k, v in overrides.items()}
+        options["config"] = overrides
     if budgets:
         options["stage_budget"] = {
             k: float(v) for k, v in budgets.items()
@@ -803,15 +729,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit nonzero when the flow degrades (fallbacks, budget expiry)",
     )
-    _add_route_knobs(p)
-    _add_dp_knobs(p)
-    _add_predict_knobs(p)
+    p.add_argument(
+        "--set", action="append", metavar="KEY=VALUE",
+        help="dotted FlowConfig override, e.g. gp.max_outer_iterations=12; "
+        "VALUE is JSON where it parses, else a string; applied after "
+        "--wirelength-only, --baseline and --no-dp (repeatable)",
+    )
     p.set_defaults(func=_cmd_place)
 
     r = sub.add_parser("route", help="score an existing placement by routing")
     r.add_argument("--aux", required=True)
     r.add_argument("--map", action="store_true", help="print the congestion map")
-    _add_route_knobs(r)
     r.set_defaults(func=_cmd_route)
 
     s = sub.add_parser("stats", help="print benchmark statistics")

@@ -200,9 +200,8 @@ def _swap_sweep(
         deltas = inc.score_swaps(move_sets)
         for j, other_idx in enumerate(cands):
             moves = move_sets[j]
-            if gate is not None and not gate(moves):
-                continue
-            if deltas[j] < -1e-9:
+            # Both checks are pure filters: price first, it is cheaper.
+            if deltas[j] < -1e-9 and (gate is None or gate(moves)):
                 inc.apply_moves(moves)
                 index.note_moved(idx)
                 index.note_moved(other_idx)

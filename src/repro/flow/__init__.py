@@ -7,7 +7,13 @@ router-based scoring.  ``wirelength_driven_flow`` is the same engine with
 every routability lever off — the paper's own primary baseline.
 """
 
-from repro.flow.config import FlowConfig
+from repro.flow.config import FlowConfig, config_from_overrides
 from repro.flow.ntuplace4h import FlowResult, NTUplace4H, wirelength_driven_flow
 
-__all__ = ["FlowConfig", "FlowResult", "NTUplace4H", "wirelength_driven_flow"]
+__all__ = [
+    "FlowConfig",
+    "FlowResult",
+    "NTUplace4H",
+    "config_from_overrides",
+    "wirelength_driven_flow",
+]

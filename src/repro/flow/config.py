@@ -1,11 +1,15 @@
-"""Flow-level configuration."""
+"""Flow-level configuration, and the one way to set it by name."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from repro.dp import DPConfig
 from repro.gp import GPConfig
+from repro.gp.inflation import ESTIMATORS
+from repro.wirelength.smooth import WIRELENGTH_MODELS
 
 
 @dataclass
@@ -22,10 +26,6 @@ class FlowConfig:
     # Timing-driven net weighting (extension; repro.timing STA).
     timing_weighting: bool = False
     timing_weighting_strength: float = 2.0
-    # Evaluation router settings (see docs/performance.md for tuning).
-    route_sweeps: int = 2
-    route_maze_rounds: int = 3
-    route_max_maze_nets: int = 1500  # per-round cap on maze reroutes
 
     # Resilience (see docs/robustness.md).  The flow always validates
     # the design at entry, repairs fixable issues and refuses fatal ones.
@@ -48,3 +48,94 @@ class FlowConfig:
         cfg.gp.routability = False
         cfg.dp.congestion_aware = False
         return cfg
+
+
+#: Fields that are not tuning knobs, and where each is set instead.
+NOT_OVERRIDES = {
+    "stage_budget": "the stage_budget job option (repro submit --stage-budget)",
+    "checkpoint_dir": "--checkpoint-dir (a serve job uses its own directory)",
+    "runs_dir": "--runs-dir",
+}
+
+#: String fields that take one of a fixed set: the set their consumer
+#: accepts.
+CHOICES = {
+    "gp.congestion_estimator": ESTIMATORS,
+    "gp.wirelength_model": tuple(WIRELENGTH_MODELS),
+}
+
+#: What a leaf of each annotated type takes, and the test for it.  The
+#: config modules postpone annotations, so a field's type is its text.
+_TYPE_RULES = {
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    # The bound also refuses NaN, and compares a huge int exactly.
+    "float": (
+        "a finite number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max,
+    ),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
+def config_from_overrides(
+    overrides: Mapping[str, object], *, wirelength_only: bool = False
+) -> FlowConfig:
+    """A :class:`FlowConfig` with dotted overrides applied.
+
+    The base is :class:`FlowConfig` or, with ``wirelength_only``,
+    :meth:`FlowConfig.wirelength_only`.  Each key names one tuning leaf
+    of the config or of a sub-config (``"run_dp"``,
+    ``"gp.max_outer_iterations"``), and each value must fit its field: a
+    bool takes only true or false, an int an integer (``7.0`` counts as
+    7), a float any finite number, a string field a string, and a field
+    in :data:`CHOICES` one of its values.  Anything else raises
+    ``ValueError`` naming the key.
+    """
+    cfg = FlowConfig.wirelength_only() if wirelength_only else FlowConfig()
+    for key, value in overrides.items():
+        key = str(key)
+        if key in NOT_OVERRIDES:
+            raise ValueError(
+                f"flow-config override {key!r} is not a tuning field; set it "
+                f"with {NOT_OVERRIDES[key]}"
+            )
+        *path, leaf = key.split(".")
+        target = cfg
+        for part in path:
+            # Walk fields only, so a dunder cannot reach a class.
+            target = getattr(target, part) if part in _field_types(target) else None
+            if not is_dataclass(target):
+                raise ValueError(f"unknown flow-config override {key!r}")
+        types = _field_types(target)
+        if leaf not in types:
+            raise ValueError(f"unknown flow-config override {key!r}")
+        if is_dataclass(getattr(target, leaf)):
+            raise ValueError(
+                f"flow-config override {key!r} names a sub-config; "
+                "override its fields one by one"
+            )
+        setattr(target, leaf, _checked(key, types[leaf], value))
+    return cfg
+
+
+def _field_types(cfg) -> dict:
+    return {f.name: f.type for f in fields(cfg)}
+
+
+def _checked(key: str, kind: str, value):
+    """``value`` as a field of type ``kind`` takes it; ValueError if it does not fit."""
+    if kind == "int" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    what, fits = _TYPE_RULES[kind]
+    if not fits(value):
+        raise ValueError(f"flow-config override {key!r} takes {what}, got {value!r}")
+    choices = CHOICES.get(key)
+    if choices is not None and value not in choices:
+        raise ValueError(
+            f"flow-config override {key!r} takes one of "
+            f"{', '.join(map(repr, choices))}, got {value!r}"
+        )
+    return float(value) if kind == "float" else value

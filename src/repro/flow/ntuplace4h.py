@@ -417,13 +417,7 @@ class NTUplace4H:
                     try:
                         maybe_raise("raise.route")
                         with tracer.span("route"):
-                            router = GlobalRouter(
-                                design.routing,
-                                sweeps=cfg.route_sweeps,
-                                maze_rounds=cfg.route_maze_rounds,
-                                max_maze_nets=cfg.route_max_maze_nets,
-                            )
-                            rr = router.route(
+                            rr = GlobalRouter(design.routing).route(
                                 design, should_stop=watchdog.expired
                             )
                         result.route_result = rr

@@ -28,15 +28,10 @@ class GPConfig:
     # "rudy" (no routing), "router" (look-ahead route every round), or
     # "hybrid" (learned predictor + periodic router, repro.predict).
     congestion_estimator: str = "rudy"
-    # Hybrid estimator: model artifact path (None = packaged default),
-    # real-router cadence, and the mean |predicted - routed| drift over
-    # hot tiles beyond which the loop falls back to the router.  The
-    # tolerance sits well above a healthy model's hot-tile error
-    # (~0.3-0.5) — it catches gross breakdown (stale artifact,
-    # out-of-distribution design), not routine prediction noise.
+    # Hybrid estimator: model artifact path (None = packaged default).
+    # Its real-router cadence and drift tolerance are the defaults of
+    # :class:`repro.gp.CongestionInflator`.
     predict_model: str | None = None
-    predict_router_interval: int = 4
-    predict_drift_tol: float = 0.75
     # Whitespace reservation: scale each density bin's target by its
     # relative routing supply, so starved regions attract fewer cells.
     whitespace_reservation: bool = True

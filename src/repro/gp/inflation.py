@@ -29,6 +29,9 @@ from repro.route.rudy import pin_density_map, rudy_map
 #: Metric namespace for the estimator counters/series below.
 _METRIC = "gp.inflation"
 
+#: The congestion estimators :class:`CongestionInflator` accepts.
+ESTIMATORS = ("rudy", "router", "hybrid")
+
 
 class CongestionInflator:
     """Maintains per-node inflated areas across placement iterations."""
@@ -45,12 +48,17 @@ class CongestionInflator:
         wire_width: float = 1.0,
         estimator: str = "rudy",
         predict_model: str | None = None,
+        # Hybrid: the real-router cadence, and the mean |predicted -
+        # routed| drift over hot tiles beyond which the loop falls back
+        # to the router.  The tolerance sits well above a healthy
+        # model's hot-tile error (~0.3-0.5): it catches gross breakdown
+        # (stale artifact, out-of-distribution design), not noise.
         router_interval: int = 4,
         drift_tol: float = 0.75,
     ):
         if design.routing is None:
             raise ValueError("congestion inflation requires design.routing")
-        if estimator not in ("rudy", "router", "hybrid"):
+        if estimator not in ESTIMATORS:
             raise ValueError(f"unknown congestion estimator {estimator!r}")
         self.design = design
         self.spec = design.routing

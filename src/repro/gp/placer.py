@@ -240,8 +240,6 @@ class GlobalPlacer:
                 design,
                 estimator=cfg.congestion_estimator,
                 predict_model=cfg.predict_model,
-                router_interval=cfg.predict_router_interval,
-                drift_tol=cfg.predict_drift_tol,
             )
 
         gamma = GAMMA_FACTOR * max(grid.bin_w, grid.bin_h)

@@ -38,7 +38,6 @@ import os
 import signal
 import threading
 import time
-from dataclasses import fields, is_dataclass
 
 from repro.obs import (
     CallbackSink,
@@ -116,42 +115,17 @@ def build_design(design_ref: dict):
 def build_flow_config(options: dict, *, job_dir: str,
                       runs_dir: str | None = None):
     """A per-job :class:`FlowConfig` from the job's ``options``."""
-    from repro.flow import FlowConfig
+    from repro.flow import config_from_overrides
 
-    cfg = (
-        FlowConfig.wirelength_only()
-        if options.get("wirelength_only")
-        else FlowConfig()
+    # ``config`` overrides come from outside; the parser refuses any
+    # that does not name a tuning field or does not fit it.
+    cfg = config_from_overrides(
+        {
+            "run_dp": bool(options.get("run_dp", True)),
+            **(options.get("config") or {}),
+        },
+        wirelength_only=bool(options.get("wirelength_only")),
     )
-    cfg.run_dp = bool(options.get("run_dp", True))
-    for key, value in (options.get("config") or {}).items():
-        # Overrides come from outside: every path must end on a leaf
-        # field of a (sub-)config, and a bool takes only a JSON bool.
-        *path, leaf = str(key).split(".")
-        target = cfg
-        for part in path:
-            target = getattr(target, part, None)
-            if not is_dataclass(target):
-                raise ValueError(f"unknown flow-config override {key!r}")
-        if leaf not in {f.name for f in fields(target)}:
-            raise ValueError(f"unknown flow-config override {key!r}")
-        current = getattr(target, leaf)
-        if is_dataclass(current):
-            raise ValueError(
-                f"flow-config override {key!r} names a sub-config; "
-                "override its fields one by one"
-            )
-        if isinstance(current, bool):
-            if not isinstance(value, bool):
-                raise ValueError(
-                    f"flow-config override {key!r} takes true or false, "
-                    f"got {value!r}"
-                )
-        elif isinstance(current, int) and not isinstance(value, bool):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        setattr(target, leaf, value)
     if options.get("stage_budget"):
         cfg.stage_budget = {
             str(k): float(v) for k, v in options["stage_budget"].items()

@@ -477,11 +477,12 @@ class WeightedAverage(SmoothWirelength):
         grad -= neg
 
 
+#: The smooth wirelength models :func:`make_model` builds, by name.
+WIRELENGTH_MODELS = {"wa": WeightedAverage, "lse": LogSumExp}
+
+
 def make_model(kind: str, arrays, num_nodes: int, gamma: float) -> SmoothWirelength:
     """Factory: ``"wa"`` (default placer choice) or ``"lse"``."""
-    kind = kind.lower()
-    if kind == "wa":
-        return WeightedAverage(arrays, num_nodes, gamma)
-    if kind == "lse":
-        return LogSumExp(arrays, num_nodes, gamma)
-    raise ValueError(f"unknown wirelength model {kind!r}")
+    if kind not in WIRELENGTH_MODELS:
+        raise ValueError(f"unknown wirelength model {kind!r}")
+    return WIRELENGTH_MODELS[kind](arrays, num_nodes, gamma)

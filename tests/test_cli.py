@@ -185,67 +185,153 @@ class TestLegalizationFailure:
         assert os.path.exists(os.path.join(placed, "clitest.aux"))
 
 
-class TestDPKnobs:
-    def test_knobs_reach_flow_config(self):
-        from repro.cli import _apply_dp_knobs, build_parser
-        from repro.flow.config import FlowConfig
+# One non-default value per tuning leaf of FlowConfig: the ``--set``
+# text and the value the flow must receive.
+SET_VALUES = {
+    "run_dp": ("false", False),
+    "macro_channel": ("2.5", 2.5),
+    "net_weighting": ("true", True),
+    "timing_weighting": ("true", True),
+    "timing_weighting_strength": ("3", 3.0),
+    "gp.wirelength_model": ("lse", "lse"),
+    "gp.max_outer_iterations": ("12", 12),
+    "gp.inner_iterations": ("8", 8),
+    "gp.routability": ("false", False),
+    "gp.congestion_estimator": ("hybrid", "hybrid"),
+    "gp.predict_model": ("m.json", "m.json"),
+    "gp.whitespace_reservation": ("false", False),
+    "gp.optimize_orientations": ("false", False),
+    "gp.clustering": ("false", False),
+    "gp.seed": ("3", 3),
+    "dp.rounds": ("1", 1),
+    "dp.congestion_aware": ("false", False),
+}
 
-        args = build_parser().parse_args(
-            ["place", "--aux", "x.aux", "--dp-passes", "1"]
+
+def tuning_leaves() -> set:
+    """The dotted name of every FlowConfig leaf ``--set`` may name."""
+    from dataclasses import fields, is_dataclass
+
+    from repro.flow import FlowConfig
+    from repro.flow.config import NOT_OVERRIDES
+
+    def walk(cfg, prefix):
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            if is_dataclass(value):
+                yield from walk(value, f"{prefix}{f.name}.")
+            elif prefix + f.name not in NOT_OVERRIDES:
+                yield prefix + f.name
+
+    return set(walk(FlowConfig(), ""))
+
+
+@pytest.fixture
+def received(monkeypatch):
+    """The FlowConfigs ``repro place`` hands the flow, which stops there."""
+    from repro.flow import NTUplace4H
+
+    seen = []
+
+    def run(self, design, **kwargs):
+        seen.append(self.config)
+        raise RuntimeError("stopped once the config arrived")
+
+    monkeypatch.setattr(NTUplace4H, "run", run)
+    monkeypatch.delenv("REPRO_RUNS_DIR", raising=False)
+    return seen
+
+
+def place_without_set(bench_dir, received):
+    """The FlowConfig a plain ``repro place`` hands the flow."""
+    assert main(["place", "--aux", os.path.join(bench_dir, "clitest.aux")]) == 3
+    (cfg,) = received
+    return cfg
+
+
+class TestPlaceSet:
+    def test_every_tuning_leaf_has_a_case(self):
+        assert set(SET_VALUES) == tuning_leaves()
+
+    @pytest.mark.parametrize("key", sorted(SET_VALUES))
+    def test_set_reaches_flow_config(self, bench_dir, received, key):
+        from repro.flow import FlowConfig
+
+        text, value = SET_VALUES[key]
+        aux = os.path.join(bench_dir, "clitest.aux")
+        assert main(["place", "--aux", aux, "--set", f"{key}={text}"]) == 3
+        expected = FlowConfig()
+        *path, leaf = key.split(".")
+        target, got = expected, received[0]
+        for part in path:
+            target, got = getattr(target, part), getattr(got, part)
+        setattr(target, leaf, value)
+        assert received == [expected]
+        assert type(getattr(got, leaf)) is type(value)
+
+    def test_no_set_leaves_defaults(self, bench_dir, received):
+        from repro.flow import FlowConfig
+
+        assert place_without_set(bench_dir, received) == FlowConfig()
+
+    @pytest.mark.parametrize(
+        "flags", [["--wirelength-only"], ["--baseline", "random"]],
+        ids=["wirelength-only", "baseline"],
+    )
+    def test_overrides_apply_after_flags(self, bench_dir, received, flags):
+        aux = os.path.join(bench_dir, "clitest.aux")
+        main(
+            ["place", "--aux", aux, "--no-dp", *flags,
+             "--set", "run_dp=true", "--set", "dp.congestion_aware=true"]
         )
-        cfg = FlowConfig()
-        _apply_dp_knobs(cfg, args)
-        assert cfg.dp.rounds == 1
+        (cfg,) = received
+        assert cfg.run_dp is True
+        assert cfg.dp.congestion_aware is True
+        assert cfg.gp.routability is False
 
-    def test_defaults_leave_config_untouched(self):
-        from repro.cli import _apply_dp_knobs, build_parser
-        from repro.flow.config import FlowConfig
+    @pytest.mark.parametrize(
+        "pair,key",
+        [
+            ("gp.max_outer_iterations", "gp.max_outer_iterations"),
+            ("gp.not_a_knob=1", "gp.not_a_knob"),
+            ("gp.max_outer_iterations=7.9", "gp.max_outer_iterations"),
+            ("gp.congestion_estimator=bogus", "gp.congestion_estimator"),
+            ("stage_budget={}", "stage_budget"),
+        ],
+        ids=["no-equals", "unknown", "fraction", "choice", "not-tuning"],
+    )
+    def test_bad_set_exits_2_and_names_key(
+        self, bench_dir, received, capsys, pair, key
+    ):
+        aux = os.path.join(bench_dir, "clitest.aux")
+        assert main(["place", "--aux", aux, "--set", pair]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert received == []
 
-        args = build_parser().parse_args(["place", "--aux", "x.aux"])
-        cfg = FlowConfig()
-        _apply_dp_knobs(cfg, args)
-        default = FlowConfig()
-        assert cfg.dp == default.dp
-
-    def test_place_with_dp_knobs(self, bench_dir):
+    def test_place_with_set(self, bench_dir):
         rc = main(
             [
                 "place", "--aux", os.path.join(bench_dir, "clitest.aux"),
-                "--no-route", "--dp-passes", "1",
+                "--no-route", "--set", "dp.rounds=1",
             ]
         )
         assert rc == 0
 
 
+class TestDPKnobs:
+    def test_defaults_leave_config_untouched(self, bench_dir, received):
+        from repro.flow import FlowConfig
+
+        assert place_without_set(bench_dir, received).dp == FlowConfig().dp
+
+
 class TestPredictCLI:
-    def test_knobs_reach_flow_config(self):
-        from repro.cli import _apply_predict_knobs, build_parser
-        from repro.flow.config import FlowConfig
+    def test_defaults_leave_config_untouched(self, bench_dir, received):
+        from repro.flow import FlowConfig
 
-        args = build_parser().parse_args(
-            [
-                "place", "--aux", "x.aux", "--estimator", "hybrid",
-                "--predict-model", "m.json", "--predict-interval", "6",
-                "--predict-drift-tol", "0.5",
-            ]
-        )
-        cfg = FlowConfig()
-        _apply_predict_knobs(cfg, args)
-        assert cfg.gp.congestion_estimator == "hybrid"
-        assert cfg.gp.predict_model == "m.json"
-        assert cfg.gp.predict_router_interval == 6
-        assert cfg.gp.predict_drift_tol == 0.5
-
-    def test_defaults_leave_config_untouched(self):
-        from repro.cli import _apply_predict_knobs, build_parser
-        from repro.flow.config import FlowConfig
-
-        args = build_parser().parse_args(["place", "--aux", "x.aux"])
-        cfg = FlowConfig()
-        _apply_predict_knobs(cfg, args)
-        default = FlowConfig()
-        assert cfg.gp.congestion_estimator == default.gp.congestion_estimator
-        assert cfg.gp.predict_model is None
+        gp = place_without_set(bench_dir, received).gp
+        assert gp.congestion_estimator == FlowConfig().gp.congestion_estimator
+        assert gp.predict_model is None
 
     def test_show_packaged_default(self, capsys):
         rc = main(["predict", "show"])

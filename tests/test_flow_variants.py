@@ -61,14 +61,6 @@ class TestConfigPropagation:
         res = NTUplace4H(cfg).run(d, route=False)
         assert res.legal  # and no crash with the LSE path
 
-    def test_route_params_forwarded(self):
-        d = bench(84)
-        cfg = quick(FlowConfig())
-        cfg.route_sweeps = 1
-        cfg.route_maze_rounds = 0
-        res = NTUplace4H(cfg).run(d, route=True)
-        assert res.route_result.maze_rerouted == 0
-
     def test_wirelength_only_is_independent_config(self):
         a = FlowConfig.wirelength_only()
         b = FlowConfig()

@@ -315,14 +315,17 @@ class TestHybridEstimator:
         routed0 = ref.congestion_map(arrays, cx, cy)
         assert np.array_equal(hybrid0, routed0)
 
-    def test_gp_report_carries_hybrid_stats(self, tiny_artifact_path):
+    def test_gp_report_carries_hybrid_stats(self, tiny_artifact_path, monkeypatch):
         from repro.gp import GlobalPlacer, GPConfig
 
+        # No drift fallback, so both kinds of round run.
+        monkeypatch.setitem(
+            CongestionInflator.__init__.__kwdefaults__, "drift_tol", 1e9
+        )
         design = make_benchmark(small_spec(seed=44))
         cfg = GPConfig(
             max_outer_iterations=12, clustering=False, seed=3,
-            congestion_estimator="hybrid",
-            predict_model=tiny_artifact_path, predict_drift_tol=1e9,
+            congestion_estimator="hybrid", predict_model=tiny_artifact_path,
         )
         report = GlobalPlacer(cfg).place(design)
         stats = report.inflation

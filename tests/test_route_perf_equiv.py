@@ -265,49 +265,33 @@ class TestFullRouteEquivalence:
             assert_quality(fresh, SUITE_QUALITY[source])
 
 
+# Flags that once copied a config field.  Each flow knob now has one
+# spelling, ``place --set``, and the router always refreshes rip-up
+# costs incrementally and exactly.
+_REMOVED_FLAGS = [
+    pytest.param(command, flag, id=f"{command}-{flag[2:]}")
+    for command, flags in (
+        ("place", ("--route-sweeps", "--maze-rounds", "--max-maze-nets",
+                   "--dp-passes", "--estimator", "--predict-model",
+                   "--predict-interval", "--predict-drift-tol")),
+        ("route", ("--route-sweeps", "--maze-rounds", "--max-maze-nets")),
+    )
+    for flag in flags
+]
+
+
 class TestKnobPlumbing:
-    def test_flow_config_fields_reach_router(self):
-        from repro.flow import FlowConfig
-
-        cfg = FlowConfig()
-        assert cfg.route_max_maze_nets == 1500
-
-    def test_cli_flags_parse_and_apply(self):
-        from repro.cli import _apply_route_knobs, build_parser
-        from repro.flow import FlowConfig
-
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "place", "--aux", "x.aux",
-                "--route-sweeps", "1",
-                "--maze-rounds", "5",
-                "--max-maze-nets", "42",
-            ]
-        )
-        cfg = FlowConfig()
-        _apply_route_knobs(cfg, args)
-        assert cfg.route_sweeps == 1
-        assert cfg.route_maze_rounds == 5
-        assert cfg.route_max_maze_nets == 42
-
-    @pytest.mark.parametrize("command", ["place", "route"])
-    def test_cost_refresh_flag_refused(self, command, capsys):
-        # The router always refreshes rip-up costs incrementally and
-        # exactly; no flag selects a coarser refresh.
+    @pytest.mark.parametrize(
+        "command,flag",
+        [pytest.param("place", "--cost-refresh", id="place"),
+         pytest.param("route", "--cost-refresh", id="route")]
+        + _REMOVED_FLAGS,
+    )
+    def test_cost_refresh_flag_refused(self, command, flag, capsys):
         from repro.cli import build_parser
 
         parser = build_parser()
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args([command, "--aux", "x.aux", "--cost-refresh", "9"])
+            parser.parse_args([command, "--aux", "x.aux", flag, "9"])
         assert exc.value.code == 2
-        assert "--cost-refresh" in capsys.readouterr().err
-
-    def test_route_subcommand_has_knobs(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["route", "--aux", "x.aux", "--max-maze-nets", "10"]
-        )
-        assert args.max_maze_nets == 10
-        assert args.route_sweeps is None
+        assert flag in capsys.readouterr().err

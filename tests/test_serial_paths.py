@@ -189,6 +189,8 @@ REMOVED_KNOBS = {
         # The phase schedule is GlobalPlacer's: constants, not copies.
         "target_density", "overflow_target", "freeze_macros",
         "cluster_min_nodes", "cluster_max_levels",
+        # Copies of CongestionInflator's keyword defaults.
+        "predict_router_interval", "predict_drift_tol",
     ),
     DPConfig: (
         "reorder_window", "swap_candidates", "matching_batch",
@@ -202,6 +204,8 @@ REMOVED_KNOBS = {
         "timing_weighting_max", "refine_after_macro_legal",
         "route_cost_refresh", "legal", "refine_outer_iterations",
         "validate_input", "sanitize",
+        # Copies of GlobalRouter's keyword defaults.
+        "route_sweeps", "route_maze_rounds", "route_max_maze_nets",
     ),
     GlobalRouter: ("cost_refresh", "reference"),
     QuadraticConfig: (
@@ -251,7 +255,7 @@ def test_legal_config_removed():
 def test_config_surface():
     # Every leaf of the flow's configs is also a serve override.
     configs = (FlowConfig, GPConfig, DPConfig, QuadraticConfig)
-    assert sum(len(dataclasses.fields(c)) for c in configs) == 29
+    assert sum(len(dataclasses.fields(c)) for c in configs) == 24
 
 
 # ----------------------------------------------------------------------

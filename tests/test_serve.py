@@ -320,6 +320,8 @@ class TestBuildFlowConfig:
             "dp.congestion_spread", "dp.spread_threshold",
             "dp.min_gain_per_round", "legal", "legal.tetris_only",
             "refine_outer_iterations", "validate_input", "sanitize",
+            "route_sweeps", "route_maze_rounds", "route_max_maze_nets",
+            "gp.predict_router_interval", "gp.predict_drift_tol",
         ],
     )
     def test_removed_field_refused(self, tmp_path, key):
@@ -355,6 +357,56 @@ class TestBuildFlowConfig:
         )
         assert cfg.gp.max_outer_iterations == 7
         assert cfg.gp.routability is False
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            # A number field takes a finite JSON number; a bool is not one.
+            {"dp.rounds": True},
+            {"gp.seed": "3"},
+            {"macro_channel": False},
+            {"timing_weighting_strength": float("nan")},
+            # An int field takes an integer; 7.0 counts, 7.9 does not.
+            {"gp.max_outer_iterations": 7.9},
+            # A string field takes a string, and from a fixed set a member.
+            {"gp.predict_model": 12},
+            {"gp.congestion_estimator": "bogus"},
+            {"gp.wirelength_model": "quadratic"},
+            # Not tuning fields: each has its own spelling.
+            {"stage_budget": "x"},
+            {"checkpoint_dir": "/elsewhere"},
+            {"runs_dir": "runs"},
+            # The walk follows fields only, never into the class.
+            {"gp.__class__.seed": 5},
+        ],
+        ids=[
+            "bool-for-int", "string-for-int", "bool-for-float", "nan",
+            "fraction", "int-for-string", "estimator", "wirelength-model",
+            "stage-budget", "checkpoint-dir", "runs-dir", "dunder",
+        ],
+    )
+    def test_config_override_strict(self, tmp_path, override):
+        with pytest.raises(ValueError, match="flow-config override"):
+            build_flow_config({"config": override}, job_dir=str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"gp.congestion_estimator": "bogus"}, {"stage_budget": "x"}],
+        ids=["estimator", "stage-budget"],
+    )
+    def test_bad_override_fails_job_at_once(self, tmp_path, override):
+        # Before the flow starts: never a degraded "done" from inside GP,
+        # never a worker_error requeue from outside every stage.
+        from repro.serve.worker import run_job
+
+        store = JobStore(tmp_path / "serve")
+        store.submit({"spec": SPEC}, options={"config": override})
+        record = store.claim(os.getpid())
+        run_job(store, record, settings={})
+        final = store.get(record["job_id"])
+        assert final["state"] == "failed"
+        assert final["requeues"] == []
+        assert repr(next(iter(override))) in final["error"]
 
 
 def _shm_segments() -> set:
