@@ -24,8 +24,8 @@ The chaos itself (all seeded by ``--seed``):
   holds a running job;
 * random cancels of a subset of jobs;
 * random engine restarts mid-load (drain → close → reopen on the same
-  root), scheduled from the first kill, exercising orphan requeue +
-  checkpoint resume.
+  root), scheduled from the first kill and fired at the latest when no
+  job is left queued, exercising orphan requeue + checkpoint resume.
 
 A soak passes only if the chaos happened: at least one kill, every
 restart ``--restarts`` asks for, and at least one requeue.
@@ -273,7 +273,12 @@ def run_soak(args) -> dict:
                         client.cancel(job_id)
                     except Exception:
                         cancelled_req.discard(job_id)
-            if restart_times and now >= restart_times[0]:
+            # A restart still pending once nothing is queued fires now,
+            # while the last jobs run: workers that start in a quarter
+            # of a second can empty the queue before its scheduled time.
+            if restart_times and (
+                now >= restart_times[0] or counts.get("queued", 0) == 0
+            ):
                 restart_times.pop(0)
                 server.drain(args.drain_timeout)
                 server.close()

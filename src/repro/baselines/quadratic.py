@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.db import Design
 from repro.gp.initial import initial_placement
@@ -80,6 +79,10 @@ class QuadraticPlacer:
 
     def _solve_axis(self, design, coord, mov, mov_pos, anchor_w, axis):
         """Assemble and solve the B2B system for one axis."""
+        # Imported here, by its only user: SciPy's import costs a process
+        # about half a second of CPU, and no other stage needs it.
+        import scipy.sparse as sp
+
         m = len(mov)
         rows, cols, vals = [], [], []
         diag = np.zeros(m)

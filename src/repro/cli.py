@@ -34,7 +34,7 @@ import sys
 from repro.baselines import run_baseline_flow
 from repro.benchgen import SUITE, BenchmarkSpec, make_benchmark, make_suite_design
 from repro.db import compute_stats
-from repro.flow import NTUplace4H, config_from_overrides
+from repro.flow import NTUplace4H, config_from_overrides, parse_stage_budget
 from repro.io import read_bookshelf, write_bookshelf
 from repro.metrics import format_table
 from repro.obs import (
@@ -420,14 +420,14 @@ def _parse_assignments(pairs, flag: str):
     return out
 
 
-def _parse_overrides(pairs):
-    """``--set KEY=VALUE`` strings -> ``{key: value}``; None on misuse.
+def _parse_overrides(pairs, flag: str = "--set"):
+    """``KEY=VALUE`` strings -> ``{key: value}``; None on misuse.
 
     A value is JSON where it parses (``false``, ``12``, ``null``), else
     the raw string (``router``)."""
     import json as _json
 
-    overrides = _parse_assignments(pairs, "--set")
+    overrides = _parse_assignments(pairs, flag)
     for key, text in (overrides or {}).items():
         try:
             overrides[key] = _json.loads(text)
@@ -445,8 +445,13 @@ def _cmd_submit(args) -> int:
     if design is None:
         return 2
     overrides = _parse_overrides(args.set)
-    budgets = _parse_assignments(args.stage_budget, "--stage-budget")
+    budgets = _parse_overrides(args.stage_budget, "--stage-budget")
     if overrides is None or budgets is None:
+        return 2
+    try:
+        budgets = parse_stage_budget(budgets)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     options: dict = {}
     if args.no_route:
@@ -458,9 +463,7 @@ def _cmd_submit(args) -> int:
     if overrides:
         options["config"] = overrides
     if budgets:
-        options["stage_budget"] = {
-            k: float(v) for k, v in budgets.items()
-        }
+        options["stage_budget"] = budgets
     if args.timeout is not None:
         options["timeout"] = args.timeout
     if args.faults:
@@ -857,7 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sm.add_argument(
         "--stage-budget", action="append", metavar="STAGE=SEC",
-        help="soft per-stage time budget (repeatable)",
+        help="soft time budget of gp, legal, dp or route in seconds, or "
+        "null for none (repeatable)",
     )
     sm.add_argument(
         "--timeout", type=float, metavar="SEC",

@@ -27,8 +27,8 @@ from repro import wirelength
 from repro.geometry import Orientation, Rect
 from repro.geometry.orientation import _ROTATIONS
 from repro.db.node import (
-    COLUMN_DTYPES, HEIGHT, KIND, KINDS, MOVABLE, ORIENT, REGION, SWAPS, WIDTH, X, Y,
-    Node, NodeKind,
+    BLOCKAGE, COLUMN_DTYPES, HEIGHT, KIND, KINDS, MOVABLE, ORIENT, REGION, SWAPS, WIDTH,
+    X, Y, Node, NodeKind,
 )
 from repro.db.net import Net, Pin
 from repro.db.rows import Row
@@ -327,6 +327,10 @@ class Design:
     def macro_mask(self) -> np.ndarray:
         """Movable macros only."""
         return self._column(KIND) == KINDS.index(NodeKind.MACRO)
+
+    def blockage_mask(self) -> np.ndarray:
+        """Fixed nodes whose footprint excludes other nodes."""
+        return np.array(BLOCKAGE)[self._column(KIND)]
 
     def region_ids(self) -> np.ndarray:
         """Fence id per node (-1 when unconstrained)."""

@@ -41,6 +41,7 @@ ORIENTATIONS = tuple(Orientation)
 KINDS = tuple(NodeKind)
 SWAPS = tuple(o.swaps_dimensions for o in ORIENTATIONS)
 MOVABLE = tuple(k.is_movable for k in KINDS)
+BLOCKAGE = tuple(k.is_fixed and k.blocks_placement for k in KINDS)
 
 
 def _float_column(k: int, doc: str) -> property:

@@ -8,8 +8,9 @@ not regress when the flow runs routability-aware:
 * **vertical swap** — a restricted global swap between adjacent rows;
 * **local reordering** — optimal permutation of small windows of
   consecutive cells within a sub-row;
-* **independent-set matching** — assignment (Hungarian) of equal-width
-  cells to each other's slots, solved exactly per batch.
+* **independent-set matching** — assignment of equal-width cells to
+  each other's slots, solved exactly per batch
+  (:func:`repro.optim.linear_sum_assignment`).
 
 All passes operate on the legalized placement and keep it legal: moves
 only exchange occupied slots of equal footprint or repack within one

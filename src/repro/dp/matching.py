@@ -3,18 +3,18 @@
 Classic NTUplace detailed-placement move: collect a *net-independent* set
 of same-footprint cells (no two share a net, so their HPWL contributions
 are separable), build the cost matrix of every cell in every member's
-slot, and solve the assignment exactly (Hungarian via SciPy).  The
-result can only improve HPWL, by optimality of the assignment.  The
-whole cost matrix of a batch is one
+slot, and solve the assignment exactly with
+:func:`repro.optim.linear_sum_assignment` (SciPy's solver, ported bit
+for bit).  The result can only improve HPWL, by optimality of the
+assignment.  The whole cost matrix of a batch is one
 :meth:`IncrementalHPWL.score_relocations` call.
 """
 
 from __future__ import annotations
 
-from scipy.optimize import linear_sum_assignment
-
 from repro.db import NodeKind
 from repro.dp.hpwl_delta import IncrementalHPWL
+from repro.optim import linear_sum_assignment
 
 
 def _independent_batches(design, inc, cells, batch_size: int):

@@ -7,7 +7,7 @@ router-based scoring.  ``wirelength_driven_flow`` is the same engine with
 every routability lever off — the paper's own primary baseline.
 """
 
-from repro.flow.config import FlowConfig, config_from_overrides
+from repro.flow.config import FlowConfig, config_from_overrides, parse_stage_budget
 from repro.flow.ntuplace4h import FlowResult, NTUplace4H, wirelength_driven_flow
 
 __all__ = [
@@ -15,5 +15,6 @@ __all__ = [
     "FlowResult",
     "NTUplace4H",
     "config_from_overrides",
+    "parse_stage_budget",
     "wirelength_driven_flow",
 ]

@@ -31,10 +31,10 @@ class FlowConfig:
     # the design at entry, repairs fixable issues and refuses fatal ones.
     # Write a resumable checkpoint.json here after every completed stage.
     checkpoint_dir: str | None = None
-    # Soft per-stage time budgets in seconds, keyed by stage name
-    # ("gp", "legal", "dp", "route"); missing/None = unlimited.  Stages
-    # wind down at their next loop boundary and the flow result is
-    # marked degraded.
+    # Soft per-stage time budgets in seconds, keyed by a name in
+    # BUDGET_STAGES; missing/None = unlimited.  Stages wind down at
+    # their next loop boundary and the flow result is marked degraded.
+    # Set from outside through parse_stage_budget.
     stage_budget: dict = field(default_factory=dict)
     # Observability (see docs/observability.md).
     # Append a run-history record here after every run() (the CLI's
@@ -49,6 +49,9 @@ class FlowConfig:
         cfg.dp.congestion_aware = False
         return cfg
 
+
+#: The stages a ``stage_budget`` can bound, in flow order.
+BUDGET_STAGES = ("gp", "legal", "dp", "route")
 
 #: Fields that are not tuning knobs, and where each is set instead.
 NOT_OVERRIDES = {
@@ -139,3 +142,32 @@ def _checked(key: str, kind: str, value):
             f"{', '.join(map(repr, choices))}, got {value!r}"
         )
     return float(value) if kind == "float" else value
+
+
+def parse_stage_budget(budgets: Mapping[str, object]) -> dict:
+    """``{stage: seconds or None}`` from a budget mapping, checked.
+
+    Each key must name a stage in :data:`BUDGET_STAGES`, and each value
+    must be a finite number of seconds of at least 0 (never a bool), or
+    None for unlimited.  Anything else raises ``ValueError`` naming the
+    key.
+    """
+    if not isinstance(budgets, Mapping):
+        raise ValueError(
+            f"stage budgets take a mapping of stage to seconds, got {budgets!r}"
+        )
+    _, finite = _TYPE_RULES["float"]
+    out = {}
+    for key, value in budgets.items():
+        if key not in BUDGET_STAGES:
+            raise ValueError(
+                f"stage budget {key!r} names no budgeted stage; use one of "
+                f"{', '.join(map(repr, BUDGET_STAGES))}"
+            )
+        if value is not None and not (finite(value) and value >= 0):
+            raise ValueError(
+                f"stage budget {key!r} takes a finite number of seconds >= 0, "
+                f"or null for unlimited; got {value!r}"
+            )
+        out[key] = None if value is None else float(value)
+    return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.db import Design, NodeKind
+from repro.db import Design
 from repro.density import BellDensity
 from repro.gp.clustering import cluster_design
 from repro.gp.config import GPConfig
@@ -208,20 +208,19 @@ class GlobalPlacer:
             return self._overflow_design(design)
 
         grid = self._density_grid(design, len(mov))
-        fixed_rects = [
-            (n.rect.xl, n.rect.yl, n.rect.xh, n.rect.yh)
-            for n in design.nodes
-            if n.kind.is_fixed and n.kind.blocks_placement
-        ]
+        widths, heights = design.placed_sizes()
+        # Obstacle outlines in the order BellDensity accumulates them:
+        # fixed blockers by node index, then, in the refine, the macros.
+        obstacles = np.flatnonzero(design.blockage_mask())
         if refine:
-            fixed_rects += [
-                (n.rect.xl, n.rect.yl, n.rect.xh, n.rect.yh)
-                for n in design.nodes
-                if n.kind is NodeKind.MACRO
-            ]
+            obstacles = np.concatenate([obstacles, np.flatnonzero(design.macro_mask())])
+        xl, yl = design.pull_corners()
+        xl, yl = xl[obstacles], yl[obstacles]
+        fixed_rects = np.column_stack(
+            [xl, yl, xl + widths[obstacles], yl + heights[obstacles]]
+        )
 
         cx, cy = design.pull_centers()
-        widths, heights = design.placed_sizes()
         target_scale = None
         if cfg.routability and cfg.whitespace_reservation and design.routing is not None:
             target_scale = self._reservation_scale(design, grid, RESERVATION_FLOOR)

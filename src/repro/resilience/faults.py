@@ -36,7 +36,7 @@ import os
 import random
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Registry of every fault point compiled into the pipeline.
 #: name -> human description of what firing it does.

@@ -115,10 +115,11 @@ def build_design(design_ref: dict):
 def build_flow_config(options: dict, *, job_dir: str,
                       runs_dir: str | None = None):
     """A per-job :class:`FlowConfig` from the job's ``options``."""
-    from repro.flow import config_from_overrides
+    from repro.flow import config_from_overrides, parse_stage_budget
 
-    # ``config`` overrides come from outside; the parser refuses any
-    # that does not name a tuning field or does not fit it.
+    # ``config`` overrides and budgets come from outside; the parsers
+    # refuse a key that names no field or stage, or a value that does
+    # not fit it.
     cfg = config_from_overrides(
         {
             "run_dp": bool(options.get("run_dp", True)),
@@ -126,10 +127,8 @@ def build_flow_config(options: dict, *, job_dir: str,
         },
         wirelength_only=bool(options.get("wirelength_only")),
     )
-    if options.get("stage_budget"):
-        cfg.stage_budget = {
-            str(k): float(v) for k, v in options["stage_budget"].items()
-        }
+    if options.get("stage_budget") is not None:
+        cfg.stage_budget = parse_stage_budget(options["stage_budget"])
     cfg.checkpoint_dir = os.path.join(job_dir, "checkpoint")
     cfg.runs_dir = runs_dir
     return cfg

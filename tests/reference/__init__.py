@@ -6,7 +6,8 @@ Abacus, legality audit, incremental HPWL, slot index, congestion gate
 and spreading, net decomposition, L-route build, offender scan, rip-up
 and maze A*) was first written as a straightforward loop.  Those
 originals live here, bodies unchanged, as in-process oracles: the
-optimized code must reproduce them bit for bit.
+optimized code must reproduce them bit for bit.  The assignment twin is
+SciPy's solver, which the in-repo port must reproduce the same way.
 
 Kernel tests call a twin directly.  Stage tests, on small and on suite
 designs, run a whole stage on the twins through :func:`use_reference`,
@@ -53,6 +54,8 @@ SWAPS = (
     ("incremental_hpwl", "repro.dp.engine", "IncrementalHPWL",
      dp.ReferenceIncrementalHPWL),
     ("slot_index", "repro.dp.swap", "_SlotIndex", dp.ReferenceSlotIndex),
+    ("assignment", "repro.dp.matching", "linear_sum_assignment",
+     dp.linear_sum_assignment_reference),
     ("dp_gate", "repro.dp.engine", "DetailedPlacer._make_gate",
      dp.make_gate_reference),
     ("spread", "repro.dp.spreading", "_spread", dp._spread_reference),
@@ -76,7 +79,7 @@ GP_TWINS = (
 )
 LEGAL_DP_TWINS = (
     "tetris", "abacus", "legal_check", "incremental_hpwl", "slot_index",
-    "dp_gate", "spread",
+    "assignment", "dp_gate", "spread",
 )
 ROUTE_TWINS = ("decompose", "l_routes", "offenders", "reroute", "maze")
 

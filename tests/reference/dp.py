@@ -1,13 +1,15 @@
 """Golden twins of the detailed-placement kernels.
 
 The original per-pin ``IncrementalHPWL`` loops, the grouped-sort
-``_SlotIndex`` buckets, the scalar congestion gate and the per-object
-congestion spreading scan, bodies unchanged.
+``_SlotIndex`` buckets, the scalar congestion gate, the per-object
+congestion spreading scan, bodies unchanged, and SciPy's assignment
+solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.optimize
 
 from repro.db import NodeKind
 from repro.dp.engine import CONGESTION_GATE_THRESHOLD
@@ -152,6 +154,13 @@ class ReferenceSlotIndex(_SlotIndex):
                 [e[2] for e in bucket],
             )
         return buckets
+
+
+# ----------------------------------------------------------------------
+# dp.matching
+# ----------------------------------------------------------------------
+#: SciPy's compiled solver, the one matching called before its port.
+linear_sum_assignment_reference = scipy.optimize.linear_sum_assignment
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,11 @@ packing.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Design, Node, Row
-from repro.legal import SubRowMap, abacus_refine, check_legal
+from repro.legal import SubRowMap, abacus_refine
 
 
 def row_design(widths):

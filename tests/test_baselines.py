@@ -1,11 +1,9 @@
 """Tests for the baseline placers."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import QuadraticConfig, QuadraticPlacer, random_placement, run_baseline_flow
 from repro.benchgen import BenchmarkSpec, make_benchmark
-from repro.db import NodeKind
 from repro.dp import DetailedPlacer
 from repro.flow import FlowConfig, NTUplace4H
 from repro.obs import RunRegistry, Tracer, use_tracer

@@ -439,6 +439,64 @@ class TestServeCLI:
         cfg = build_flow_config(captured["options"], job_dir=str(tmp_path))
         assert cfg.gp.routability is False
 
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        """The ``options`` of every job ``repro submit`` sends."""
+        sent = []
+
+        class FakeClient:
+            def __init__(self, url):
+                pass
+
+            def submit(self, design, *, options=None, priority=0,
+                       max_retries=None):
+                sent.append(options)
+                return {"job_id": "j1", "state": "queued"}
+
+        monkeypatch.setattr("repro.serve.ServeClient", FakeClient)
+        return sent
+
+    @pytest.mark.parametrize(
+        "budget, key",
+        [
+            # Only the budgeted stages, each named exactly.
+            ("gpp=3", "gpp"),
+            ("macro_legal_refine=3", "macro_legal_refine"),
+            # A finite number of seconds, never a string or a bool ...
+            ("gp=abc", "gp"),
+            ("gp=true", "gp"),
+            ("dp=NaN", "dp"),
+            ("route=Infinity", "route"),
+            # ... of at least 0.
+            ("legal=-1", "legal"),
+        ],
+        ids=[
+            "typo", "unbudgeted-stage", "string", "bool", "nan", "inf",
+            "negative",
+        ],
+    )
+    def test_submit_bad_stage_budget_exits_2(self, submitted, capsys, budget, key):
+        rc = main(["submit", "--suite", "rh01", "--stage-budget", budget])
+        assert rc == 2
+        assert submitted == []
+        assert f"stage budget {key!r}" in capsys.readouterr().err
+
+    def test_submit_stage_budget_numbers_and_null(self, tmp_path, submitted):
+        from repro.serve.worker import build_flow_config
+
+        rc = main(
+            [
+                "submit", "--suite", "rh01", "--json",
+                "--stage-budget", "gp=null", "--stage-budget", "legal=0",
+                "--stage-budget", "dp=2", "--stage-budget", "route=0.5",
+            ]
+        )
+        assert rc == 0
+        budget = {"gp": None, "legal": 0.0, "dp": 2.0, "route": 0.5}
+        assert submitted[0]["stage_budget"] == budget
+        cfg = build_flow_config(submitted[0], job_dir=str(tmp_path))
+        assert cfg.stage_budget == budget
+
     def test_jobs_drain_against_live_server(self, tmp_path, capsys):
         from repro.serve import JobServer, ServeSettings
 

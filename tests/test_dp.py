@@ -13,7 +13,7 @@ from repro.dp import (
     matching_pass,
     vertical_swap_pass,
 )
-from repro.legal import SubRowMap, check_legal, tetris_legalize
+from repro.legal import check_legal, tetris_legalize
 
 
 def rowed_design(n_cells=24, n_rows=6, sites=60, n_nets=16, seed=0):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.benchgen import BenchmarkSpec, make_benchmark, make_suite_design
-from repro.db import Design, Net, Node, NodeKind, Pin, Row
+from repro.db import Design, Net, Node, Pin, Row
 from repro.dp import DetailedPlacer, DPConfig, IncrementalHPWL
 from repro.dp.swap import _SlotIndex
 from repro.gp import initial_placement

@@ -1,9 +1,8 @@
 """Tests for congestion-driven cell spreading."""
 
 import numpy as np
-import pytest
 
-from repro.db import Design, Net, Node, NodeKind, Pin, Row
+from repro.db import Design, Net, Node, Pin, Row
 from repro.dp import DetailedPlacer, DPConfig, congestion_spread_pass
 from repro.geometry import Rect
 from repro.legal import check_legal, tetris_legalize

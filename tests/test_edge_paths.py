@@ -1,8 +1,6 @@
 """Edge-path tests across modules: less-travelled branches that the
 main suites don't reach."""
 
-import os
-
 import numpy as np
 import pytest
 

@@ -5,7 +5,6 @@ import pytest
 from repro.benchgen import BenchmarkSpec, make_benchmark
 from repro.dp import DPConfig
 from repro.flow import FlowConfig, NTUplace4H, wirelength_driven_flow
-from repro.gp import GPConfig
 from repro.legal import check_legal
 from repro.obs import Tracer, use_tracer
 

@@ -1,7 +1,5 @@
 """Flow-variant tests: channels, early exits, config propagation."""
 
-import pytest
-
 from repro.benchgen import BenchmarkSpec, make_benchmark
 from repro.db import NodeKind
 from repro.dp import DPConfig, DetailedPlacer

@@ -3,8 +3,6 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.db import Node
 from repro.geometry import Orientation, invert, transform_offset

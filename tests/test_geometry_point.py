@@ -1,7 +1,5 @@
 """Tests for repro.geometry.point."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -13,7 +13,6 @@ from repro.gp import (
     initial_placement,
     optimize_macro_orientations,
 )
-from repro.route import RoutingSpec
 
 
 def bench(seed=11, **kw):

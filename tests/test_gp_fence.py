@@ -1,7 +1,6 @@
 """Tests for fence-region penalty and projection."""
 
 import numpy as np
-import pytest
 
 from repro.db import Design, Node, Region
 from repro.geometry import Rect

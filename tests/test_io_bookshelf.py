@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.benchgen import BenchmarkSpec, make_benchmark
-from repro.db import Design, Net, Node, NodeKind, Pin, Region, Row
+from repro.db import Design, Net, Node, NodeKind, Pin, Row
 from repro.geometry import Orientation, Rect
 from repro.io import read_aux, read_bookshelf, write_bookshelf
 

@@ -1,7 +1,5 @@
 """Tests for standalone .pl checkpointing and reader robustness."""
 
-import os
-
 import pytest
 
 from repro.benchgen import BenchmarkSpec, make_benchmark

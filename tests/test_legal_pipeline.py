@@ -8,7 +8,6 @@ from repro.geometry import Rect
 from repro.gp import GlobalPlacer, GPConfig
 from repro.legal import (
     Legalizer,
-    SubRowMap,
     abacus_refine,
     check_legal,
     legalize_macros,

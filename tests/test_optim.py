@@ -1,4 +1,4 @@
-"""Tests for the projected conjugate-gradient solver."""
+"""Tests for `repro.optim`: the CG solvers and the assignment port."""
 
 import os
 import subprocess
@@ -6,11 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import repro
-from repro.optim import blocked_dot, minimize_cg, solve_cg
+from repro.optim import blocked_dot, linear_sum_assignment, minimize_cg, solve_cg
 from repro.optim.cg import DOT_CHUNK
 
 
@@ -207,3 +208,90 @@ class TestBlasThreadCount:
         for lo in range(0, n, 8192):
             total += float(np.dot(a[lo:lo + 8192], b[lo:lo + 8192]))
         assert blocked_dot(a, b) == total
+
+
+def cost_matrix(kind: str, k: int, rng) -> np.ndarray:
+    """A ``k x k`` cost matrix; every kind but ``uniform`` is tie-heavy."""
+    if kind == "integer":
+        return rng.integers(0, 3, (k, k)).astype(float)
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, (k, k))
+    if kind == "constant":
+        return np.full((k, k), 2.5)
+    if kind == "zero":
+        return np.zeros((k, k))
+    if kind == "tenths":
+        # Sums of tenths tie only up to rounding, so the order in which
+        # a reduced cost is summed decides which column wins.
+        return rng.integers(-9, 10, (k, k)) / 10.0
+    # Matching's shape: staying put costs nothing, moving is a small gain
+    # or loss on a coarse grid.
+    cost = rng.choice([-0.1, 0.0, 0.1], (k, k))
+    np.fill_diagonal(cost, 0.0)
+    return cost
+
+
+class TestLinearSumAssignment:
+    """The port returns SciPy's assignment, ties included."""
+
+    @pytest.mark.parametrize(
+        "kind", ["integer", "uniform", "constant", "zero", "tenths", "zero-diagonal"]
+    )
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 24])
+    def test_equals_scipy(self, kind, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            cost = cost_matrix(kind, k, rng)
+            rows, cols = linear_sum_assignment(cost)
+            ref_rows, ref_cols = scipy.optimize.linear_sum_assignment(cost)
+            assert rows.tolist() == ref_rows.tolist()
+            assert cols.tolist() == ref_cols.tolist()
+
+    def test_equals_scipy_on_random_sizes(self):
+        rng = np.random.default_rng(7)
+        kinds = ["integer", "uniform", "constant", "zero", "tenths", "zero-diagonal"]
+        for _ in range(200):
+            cost = cost_matrix(kinds[rng.integers(6)], int(rng.integers(1, 30)), rng)
+            cols = linear_sum_assignment(cost)[1]
+            assert cols.tolist() == scipy.optimize.linear_sum_assignment(cost)[1].tolist()
+
+    def test_integer_input_and_optimum(self):
+        cost = [[4, 1, 3], [2, 0, 5], [3, 2, 2]]
+        rows, cols = linear_sum_assignment(cost)
+        assert rows.tolist() == [0, 1, 2]
+        assert cols.tolist() == [1, 0, 2]
+        assert sum(cost[r][c] for r, c in zip(rows, cols)) == 5
+
+    @pytest.mark.parametrize(
+        "cost",
+        [np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(4), np.zeros((2, 2, 2))],
+        ids=["wide", "tall", "vector", "cube"],
+    )
+    def test_refuses_non_square(self, cost):
+        with pytest.raises(ValueError, match="square"):
+            linear_sum_assignment(cost)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite(self, bad):
+        cost = np.zeros((3, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            linear_sum_assignment(cost)
+
+
+def test_importing_the_program_loads_no_scipy():
+    """SciPy is for the quadratic baseline and the tests only: a flow,
+    a CLI run and a serve worker start without it."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    script = (
+        "import sys\n"
+        "import repro, repro.cli, repro.serve.worker\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Design, Net, Node, NodeKind, Pin, Row
+from repro.db import Design, Net, Node, Pin, Row
 from repro.density import BellDensity
 from repro.geometry import Rect
 from repro.grids import BinGrid

@@ -5,7 +5,6 @@ import pytest
 
 from repro.db import Design, Net, Node, Pin
 from repro.geometry import Rect
-from repro.grids import BinGrid
 from repro.route import GlobalRouter, GridGraph, RoutingSpec
 
 

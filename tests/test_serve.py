@@ -23,7 +23,6 @@ import pytest
 
 from repro.benchgen import BenchmarkSpec, make_benchmark
 from repro.serve import (
-    JobServer,
     JobStore,
     JobStoreError,
     ServeSettings,
@@ -388,6 +387,73 @@ class TestBuildFlowConfig:
     def test_config_override_strict(self, tmp_path, override):
         with pytest.raises(ValueError, match="flow-config override"):
             build_flow_config({"config": override}, job_dir=str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            # Only the budgeted stages, each named exactly.
+            {"gpp": 1.0},
+            {"macro_legal_refine": 1.0},
+            # A finite number of seconds, never a string or a bool ...
+            {"gp": "abc"},
+            {"gp": True},
+            {"dp": float("nan")},
+            {"route": float("inf")},
+            # ... of at least 0.
+            {"legal": -1},
+            # And a mapping of them.
+            "x",
+        ],
+        ids=[
+            "typo", "unbudgeted-stage", "string", "bool", "nan", "inf",
+            "negative", "not-a-mapping",
+        ],
+    )
+    def test_stage_budget_strict(self, tmp_path, budget):
+        with pytest.raises(ValueError, match="stage budget"):
+            build_flow_config({"stage_budget": budget}, job_dir=str(tmp_path))
+
+    def test_stage_budget_takes_numbers_and_null(self, tmp_path):
+        cfg = build_flow_config(
+            {"stage_budget": {"gp": None, "legal": 0, "dp": 2, "route": 0.5}},
+            job_dir=str(tmp_path),
+        )
+        # null stays None, the flow's "unlimited"; numbers become floats.
+        assert cfg.stage_budget == {"gp": None, "legal": 0.0, "dp": 2.0, "route": 0.5}
+        assert [type(v) for v in cfg.stage_budget.values()][1:] == [float] * 3
+
+    @pytest.mark.parametrize(
+        "budget", [{"gpp": 1.0}, {"gp": True}, {"gp": -1}],
+        ids=["typo", "bool", "negative"],
+    )
+    def test_bad_stage_budget_fails_job_at_once(self, tmp_path, budget):
+        # The record schema already refuses a budget that is not an
+        # object at submit; the worker refuses what the schema lets by.
+        from repro.serve.worker import run_job
+
+        store = JobStore(tmp_path / "serve")
+        store.submit({"spec": SPEC}, options={"stage_budget": budget})
+        record = store.claim(os.getpid())
+        run_job(store, record, settings={})
+        final = store.get(record["job_id"])
+        assert final["state"] == "failed"
+        assert final["requeues"] == []
+        assert "stage budget" in final["error"]
+
+    def test_null_stage_budget_runs_unlimited(self, tmp_path):
+        from repro.serve.worker import run_job
+
+        store = JobStore(tmp_path / "serve")
+        store.submit(
+            {"spec": SPEC},
+            options={"stage_budget": {"gp": None, "dp": None}, "route": False,
+                     "config": {"gp.max_outer_iterations": 3}},
+        )
+        record = store.claim(os.getpid())
+        run_job(store, record, settings={})
+        final = store.get(record["job_id"])
+        assert final["state"] == "done"
+        assert final["result"]["degradation"] == []
 
     @pytest.mark.parametrize(
         "override",
