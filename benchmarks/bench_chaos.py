@@ -38,8 +38,10 @@ Two modes::
 
 The restart drill is the acceptance criterion made executable: drain
 during a 50-job run (the exact code path ``repro serve`` runs on
-SIGTERM), restart the engine on the same root, finish everything with
-zero lost or duplicated terminal states and bit-identical results.
+SIGTERM) once an anchor job holds a stage checkpoint, restart the
+engine on the same root, resume the anchor from its checkpoint, and
+finish everything with zero lost or duplicated terminal states and
+bit-identical results.  A drill that resumes no job fails.
 
 The record (``BENCH_chaos.json``) carries exact-gated invariant
 metrics (all zeros, seed-independent) plus wide-open outcome counts;
@@ -64,6 +66,8 @@ from repro.serve import JobServer, ServeClient, ServeSettings
 from repro.serve.journal import JobJournal, check_invariants
 from repro.serve.schema import TERMINAL_STATES
 from repro.serve.store import JobStore
+
+from bench_serve import checkpointed_anchor, submit_anchors
 
 #: The tiny-job template: small and stage-complete.  The GP budget also
 #: caps the refine after macro legalization (40% of it), and a job must
@@ -347,14 +351,13 @@ def run_restart_drill(args) -> dict:
     server = JobServer(args.root, settings=settings).start()
     try:
         client = ServeClient(server.url, timeout=60.0, client_id="drill")
-        job_ids = submit_jobs(client, args.jobs, rng, chaos=False)
-        # Let the fleet get some jobs genuinely in flight first.
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            counts = server.store.counts()
-            if counts.get("done", 0) >= 2 and counts.get("running", 0):
-                break
-            time.sleep(0.1)
+        # One anchor job, claimed first, runs for seconds beside the
+        # tiny jobs; the drain waits until it holds a stage checkpoint,
+        # so the short drain cuts it off mid-stage and the restarted
+        # engine must resume it.
+        anchor_ids = submit_anchors(client, 1)
+        job_ids = anchor_ids + submit_jobs(client, args.jobs - 1, rng, chaos=False)
+        anchored = checkpointed_anchor(client, anchor_ids) is not None
         # The `repro serve` SIGTERM path, inline: drain then close.
         drain_t0 = time.monotonic()
         summary = server.drain(args.drain_timeout)
@@ -393,6 +396,7 @@ def run_restart_drill(args) -> dict:
         "seed": args.seed,
         "workers": args.workers,
         "wall_s": round(wall, 3),
+        "anchor_checkpointed": anchored,
         "drain_summary": summary,
         "drain_wall_s": round(drain_wall, 3),
         "drained_within_deadline": drained_within_deadline,
@@ -476,10 +480,20 @@ def main(argv=None) -> int:
         and metrics["chaos_result_mismatches"] == 0
     )
     if args.drill == "restart":
+        # A drill whose drain cut no job short proves no resume.
+        if record["resumed_jobs"] < 1:
+            print(
+                "FAIL: the restart drill needs a resumed job (anchor "
+                f"checkpointed {record['anchor_checkpointed']}, drain "
+                f"{record['drain_summary']}, requeues "
+                f"{metrics['chaos_requeues']})",
+                file=sys.stderr,
+            )
         passed = passed and (
             record["drained_within_deadline"]
             and record["running_after_close"] == 0
             and metrics["chaos_done"] == metrics["chaos_submitted"]
+            and record["resumed_jobs"] >= 1
         )
     else:
         # A soak that ran no chaos proves nothing.

@@ -75,15 +75,32 @@ def submit_wave(client: ServeClient, count: int, *, seed: int,
         return list(pool.map(one, range(count)))
 
 
-def kill_busy_worker(client: ServeClient, anchor_ids: list,
-                     *, deadline_s: float = 60.0) -> int | None:
-    """SIGKILL the worker running an anchor job that has checkpointed.
+def submit_anchors(client: ServeClient, count: int) -> list:
+    """Submit ``count`` slower high-priority "anchor" jobs; returns ids.
 
-    Waits until one of the ``anchor_ids`` jobs is running inside a
-    stage *after* GP — once a later stage span is open, the GP
-    checkpoint has been written, so the post-kill requeue must resume
-    rather than restart.  Returns the killed pid (None if no anchor
-    got there).
+    Workers claim them before any tiny job, and each runs for seconds
+    (1,500 cells, every stage but routing), so a kill or a drain can
+    catch one mid-stage once it has a stage checkpoint.
+    """
+    return [
+        client.submit(
+            {"spec": {"name": f"anchor{i}", "num_cells": 1500, "seed": 100 + i}},
+            options={"route": False},
+            priority=10,
+            max_retries=3,
+        )["job_id"]
+        for i in range(count)
+    ]
+
+
+def checkpointed_anchor(client: ServeClient, anchor_ids: list,
+                        *, deadline_s: float = 60.0) -> dict | None:
+    """Wait until one of the ``anchor_ids`` jobs has a stage checkpoint.
+
+    Returns the record of the first anchor found running inside a stage
+    *after* GP: once a later stage span is open, the GP checkpoint has
+    been written, so a requeue from here on must resume rather than
+    restart.  Returns None if no anchor got there by the deadline.
     """
     later = {"macro_legal_refine", "legal", "dp", "route"}
     deadline = time.monotonic() + deadline_s
@@ -96,13 +113,25 @@ def kill_busy_worker(client: ServeClient, anchor_ids: list,
             parts = (record.get("stage") or "").split("/")
             past_gp = len(parts) >= 2 and parts[1] in later
             if record["state"] == "running" and past_gp and record["worker"]:
-                try:
-                    os.kill(record["worker"], signal.SIGKILL)
-                except (ProcessLookupError, OSError):
-                    return None
-                return record["worker"]
+                return record
         time.sleep(0.05)
     return None
+
+
+def kill_busy_worker(client: ServeClient, anchor_ids: list,
+                     *, deadline_s: float = 60.0) -> int | None:
+    """SIGKILL the worker running an anchor job that has checkpointed.
+
+    Returns the killed pid (None if no anchor got past GP).
+    """
+    record = checkpointed_anchor(client, anchor_ids, deadline_s=deadline_s)
+    if record is None:
+        return None
+    try:
+        os.kill(record["worker"], signal.SIGKILL)
+    except (ProcessLookupError, OSError):
+        return None
+    return record["worker"]
 
 
 def run_bench(args) -> dict:
@@ -117,25 +146,10 @@ def run_bench(args) -> dict:
     t_start = time.perf_counter()
     with JobServer(args.root, settings=settings) as server:
         client = ServeClient(server.url, timeout=60.0)
-        anchor_ids = []
-        if not args.no_kill:
-            # Two slower high-priority "anchor" jobs: claimed first, they
-            # run long enough for the kill to land after their GP
-            # checkpoint exists, which forces a genuine resume.
-            for i in range(2):
-                rec = client.submit(
-                    {
-                        "spec": {
-                            "name": f"anchor{i}",
-                            "num_cells": 1500,
-                            "seed": 100 + i,
-                        }
-                    },
-                    options={"route": False},
-                    priority=10,
-                    max_retries=3,
-                )
-                anchor_ids.append(rec["job_id"])
+        # Two slower high-priority "anchor" jobs: claimed first, they
+        # run long enough for the kill to land after their GP
+        # checkpoint exists, which forces a genuine resume.
+        anchor_ids = [] if args.no_kill else submit_anchors(client, 2)
         records = submit_wave(client, args.jobs - len(anchor_ids),
                               seed=args.seed)
         records = [client.get(j) for j in anchor_ids] + records

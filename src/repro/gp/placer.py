@@ -53,6 +53,7 @@ CLUSTER_LEVELS = 2  # how deep the V-cycle may recurse
 CLUSTER_MIN_NODES = 3000  # cluster only designs with this many movables
 COARSE_ITERATION_FRACTION = 0.5  # a coarse level's share of its parent's cap
 REFINE_ITERATION_FRACTION = 0.4  # the post-macro refine's share (16 of 40)
+REFINE_PATIENCE = 3  # refine iterations past its best overflow before it stops
 
 
 @dataclass
@@ -129,7 +130,9 @@ class GlobalPlacer:
         legalization: it starts from the current positions, never
         clusters, holds the macros as fixed obstacles, runs no
         orientation pass, and stops at ``REFINE_ITERATION_FRACTION`` of
-        ``max_outer_iterations``.
+        ``max_outer_iterations``, at the overflow target, or once
+        ``REFINE_PATIENCE`` committed iterations have not lowered its
+        best overflow (the plateau stop; the last iterate is kept).
 
         ``watchdog`` is an optional :class:`repro.resilience.StageWatchdog`;
         when its budget expires the outer loop winds down at the next
@@ -325,6 +328,9 @@ class GlobalPlacer:
         tracer = get_tracer()
         metrics = tracer.metrics
         orient = cfg.optimize_orientations and not refine
+        # The refine's plateau stop: its lowest overflow, where, and how
+        # many committed iterations have failed to beat it since.
+        best_overflow, best_outer, stalled = float("inf"), -1, 0
         for outer in range(cap):
             with tracer.span(f"iter[{outer}]"):
                 if (
@@ -452,6 +458,23 @@ class GlobalPlacer:
                 break
             if overflow <= target:
                 break
+            if refine:
+                # Past its overflow minimum the refine only trades HPWL
+                # for overflow it does not win back; legalization and DP
+                # do the local cleanup.
+                if overflow < best_overflow:
+                    best_overflow, best_outer, stalled = overflow, outer, 0
+                else:
+                    stalled += 1
+                    if stalled >= REFINE_PATIENCE:
+                        metrics.counter(prefix + ".plateau_stops").inc()
+                        tracer.event(
+                            "plateau",
+                            outer=outer,
+                            best_outer=best_outer,
+                            best_overflow=best_overflow,
+                        )
+                        break
             state["lam"] *= LAMBDA_GROWTH
             if fence.active:
                 state["mu"] *= FENCE_WEIGHT_GROWTH

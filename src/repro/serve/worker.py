@@ -276,9 +276,10 @@ def run_job(store: JobStore, record: dict, *, settings: dict,
             runs_dir=settings.get("runs_dir"),
         )
         design = build_design(record["design"])
-        resume_from = None
-        if attempt > 1 and has_checkpoint(checkpoint_dir):
-            resume_from = checkpoint_dir
+        # Only an earlier attempt of this job writes its checkpoint.  A
+        # drain or shutdown requeue refunds that attempt, so the attempt
+        # number cannot tell whether one ran.
+        resume_from = checkpoint_dir if has_checkpoint(checkpoint_dir) else None
         state.active_job = job_id
         state.cancel_seen = False
         beat.start()

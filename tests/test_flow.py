@@ -5,6 +5,7 @@ import pytest
 from repro.benchgen import BenchmarkSpec, make_benchmark
 from repro.dp import DPConfig
 from repro.flow import FlowConfig, NTUplace4H, wirelength_driven_flow
+from repro.gp.placer import REFINE_PATIENCE
 from repro.legal import check_legal
 from repro.obs import Tracer, use_tracer
 
@@ -75,6 +76,27 @@ class TestFlow:
             NTUplace4H(cfg).run(d, route=False)
         assert len(tracer.metrics.samples("gp.hpwl")) == 10
         assert len(tracer.metrics.samples("gp.refine.hpwl")) == 4
+
+    def test_refine_stops_at_its_overflow_plateau(self):
+        # A budget of 25 caps the refine at int(25 * 0.4) = 10; this
+        # dense design's refine overflow bottoms out above the target
+        # and stops REFINE_PATIENCE iterations later.  GP keeps its 25.
+        d = bench(utilization=0.8)
+        cfg = fast_flow()
+        cfg.gp.max_outer_iterations = 25
+        cfg.run_dp = False
+        with use_tracer(Tracer()) as tracer:
+            NTUplace4H(cfg).run(d, route=False)
+        assert len(tracer.metrics.samples("gp.hpwl")) == 25
+        ovfl = [v for _, v in tracer.metrics.series("gp.refine.overflow")]
+        assert len(ovfl) < 10
+        (evt,) = [e for e in tracer.events() if e.name == "plateau"]
+        assert evt.path == "flow/macro_legal_refine/refine"
+        assert evt.attrs["outer"] == len(ovfl) - 1
+        assert evt.attrs["best_overflow"] == min(ovfl)
+        assert evt.attrs["best_outer"] == len(ovfl) - 1 - REFINE_PATIENCE
+        counters = tracer.metrics.snapshot()["counters"]
+        assert counters["gp.refine.plateau_stops"] == 1
 
     def test_wirelength_only_factory(self):
         flow = wirelength_driven_flow()

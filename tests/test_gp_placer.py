@@ -9,12 +9,13 @@ from repro.density import density_overflow
 from repro.gp import GlobalPlacer, GPConfig, fence_violation
 from repro.gp import placer as placer_mod
 from repro.geometry import Rect
+from repro.obs import Tracer, use_tracer
 
 
-def bench(seed=21, cells=300, **kw):
+def bench(seed=21, cells=300, utilization=0.6, **kw):
     spec = BenchmarkSpec(
         name="t", num_cells=cells, num_macros=2, num_fixed_macros=1,
-        num_terminals=16, utilization=0.6, seed=seed, **kw,
+        num_terminals=16, utilization=utilization, seed=seed, **kw,
     )
     return make_benchmark(spec)
 
@@ -115,6 +116,63 @@ class TestFences:
         assert 1 <= report.num_iterations <= 4
         for idx, (x, y) in macro_pos.items():
             assert (d.nodes[idx].x, d.nodes[idx].y) == pytest.approx((x, y))
+
+
+class TestRefinePlateau:
+    """The refine stops once REFINE_PATIENCE committed iterations have
+    not lowered its best overflow; the GP phase keeps its schedule."""
+
+    @staticmethod
+    def refined(utilization):
+        # GP first, then a refine capped at int(40 * 0.4) = 16.
+        d = bench(utilization=utilization)
+        GlobalPlacer(fast_cfg()).place(d)
+        with use_tracer(Tracer()) as tracer:
+            report = GlobalPlacer(fast_cfg(max_outer_iterations=40)).place(
+                d, refine=True
+            )
+        return report, tracer
+
+    def test_stalled_refine_stops_before_its_cap(self):
+        # At 80% utilization the refine bottoms out above the target.
+        report, _ = self.refined(0.8)
+        ovfl = [it.overflow for it in report.iterations]
+        patience = placer_mod.REFINE_PATIENCE
+        assert patience < len(ovfl) < 16
+        assert report.final_overflow > placer_mod.OVERFLOW_TARGET
+        best = min(ovfl[:-patience])
+        assert all(o >= best for o in ovfl[-patience:])
+        # The stop comes exactly REFINE_PATIENCE iterations after the best.
+        assert ovfl.index(min(ovfl)) == len(ovfl) - patience - 1
+
+    def test_traced_refine_records_the_plateau(self):
+        report, tracer = self.refined(0.8)
+        ovfl = [it.overflow for it in report.iterations]
+        (evt,) = [e for e in tracer.events() if e.name == "plateau"]
+        assert evt.attrs == {
+            "outer": report.iterations[-1].outer,
+            "best_outer": report.iterations[ovfl.index(min(ovfl))].outer,
+            "best_overflow": min(ovfl),
+        }
+        assert tracer.metrics.snapshot()["counters"] == {"gp.plateau_stops": 1.0}
+
+    def test_refine_meeting_the_target_stops_on_it(self):
+        report, tracer = self.refined(0.6)
+        ovfl = [it.overflow for it in report.iterations]
+        assert len(ovfl) < 16
+        assert ovfl[-1] <= placer_mod.OVERFLOW_TARGET < min(ovfl[:-1])
+        assert not [e for e in tracer.events() if e.name == "plateau"]
+        assert "gp.plateau_stops" not in tracer.metrics.snapshot()["counters"]
+
+    def test_gp_phase_runs_past_its_overflow_plateau(self):
+        # refine=False keeps the schedule: this design's overflow stops
+        # falling long before the cap, and GP still runs to the cap.
+        d = bench(utilization=0.8)
+        report = GlobalPlacer(fast_cfg(max_outer_iterations=30)).place(d)
+        ovfl = [it.overflow for it in report.iterations]
+        assert len(ovfl) == 30
+        assert ovfl.index(min(ovfl)) + placer_mod.REFINE_PATIENCE < 29
+        assert min(ovfl) > placer_mod.OVERFLOW_TARGET
 
 
 class TestWirelengthModels:

@@ -26,6 +26,7 @@ from repro.serve import (
     ServeSettings,
 )
 from repro.serve.journal import check_invariants
+from repro.serve.worker import build_design, build_flow_config, run_job
 
 SPEC = {"name": "draintest", "num_cells": 40, "seed": 17}
 DESIGN = {"spec": SPEC}
@@ -117,6 +118,27 @@ class TestGracefulDrain:
 
 
 class TestRestartUnderLoad:
+    def test_refunded_attempt_resumes_from_its_checkpoint(self, tmp_path):
+        # A drain or shutdown requeue refunds the attempt, so the next
+        # claim is attempt 1 again: the checkpoint the interrupted
+        # attempt wrote must still be used.
+        from repro.flow import NTUplace4H
+
+        store = JobStore(tmp_path / "serve")
+        job_id = store.submit(DESIGN, options=FAST_OPTIONS)["job_id"]
+        store.claim(os.getpid())
+        cfg = build_flow_config(
+            FAST_OPTIONS, job_dir=os.path.join(store.root, "jobs", job_id)
+        )
+        NTUplace4H(cfg).run(build_design(DESIGN), route=False)
+        store.requeue(job_id, "shutdown", count_attempt=False)
+        record = store.claim(os.getpid())
+        assert record["attempts"] == 1
+        run_job(store, record, settings={"heartbeat_interval": 0.1})
+        final = store.get(job_id)
+        assert final["state"] == "done"
+        assert final["result"]["resumed_stages"]
+
     def test_deadline_hit_checkpoints_and_resumes(self, tmp_path):
         store = JobStore(tmp_path / "serve")
         with make_server(tmp_path) as server:
