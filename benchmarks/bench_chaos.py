@@ -69,11 +69,11 @@ from repro.serve.store import JobStore
 
 from bench_serve import checkpointed_anchor, submit_anchors
 
-#: The tiny-job template: small and stage-complete.  The GP budget also
-#: caps the refine after macro legalization (40% of it), and a job must
-#: run long enough (about 0.5 s here) for the soak's restarts, 1-3 s
-#: after its first kill, and the restart drill's 0.5 s drain deadline to
-#: find work in flight: 12 outer iterations give 12 GP + 4 refine.
+#: The tiny-job template: small and stage-complete.  A job must run
+#: long enough (about 0.5 s here) for the soak's restarts, 1-3 s after
+#: its first kill, and the restart drill's 0.5 s drain deadline to find
+#: work in flight: 12 outer iterations of GP, then a refine of up to 16
+#: that its plateau stop ends after 7-15 on these designs.
 JOB_CELLS = 40
 JOB_GP_ITERS = 12
 

@@ -87,6 +87,13 @@ class _StripObs(ast.NodeTransformer):
             return node.body
         return node
 
+    def visit_If(self, node: ast.If):
+        self.generic_visit(node)
+        if not node.body:
+            # The branch only recorded telemetry.
+            node.body = [ast.Pass()]
+        return node
+
     def visit_Expr(self, node: ast.Expr):
         self.generic_visit(node)
         if (

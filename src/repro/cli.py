@@ -220,13 +220,9 @@ def _cmd_place(args) -> int:
         print(format_trace_summary(tracer, profile=profiler))
     print(format_table([result.as_row()], title="flow result"))
     if not result.legal:
-        # No legality report when legalization and its fallback both
-        # failed; the degradations below say why.
-        report = result.legal_result.report if result.legal_result else None
-        _log.warning(
-            "placement is not legal: %s",
-            report.summary() if report is not None else "no legal placement",
-        )
+        # The flow-end audit's ``illegal_result`` degradation, printed
+        # below, lists the first violations.
+        _log.warning("placement is not legal")
     if args.out:
         aux = write_bookshelf(design, args.out)
         print(f"wrote {aux}")

@@ -26,7 +26,7 @@ from repro.dp import DetailedPlacer
 from repro.flow.config import FlowConfig
 from repro.gp import GlobalPlacer, GPReport
 from repro.gp.initial import initial_placement
-from repro.legal import Legalizer, legalize_macros
+from repro.legal import Legalizer, check_legal, legalize_macros
 from repro.legal.subrows import SubRowMap
 from repro.obs import get_logger, get_tracer
 from repro.resilience import (
@@ -239,6 +239,21 @@ class NTUplace4H:
                 "flow degraded at %s (%s) %s", stage, reason, detail or ""
             )
 
+        def check_result(stage: str) -> None:
+            # The flow's placement is final after ``stage``: audit it
+            # independently of what the stage reports about itself.  No
+            # span: a serve worker counts the flow's child spans as
+            # stages.
+            report = check_legal(design)
+            result.legal = report.ok
+            if not report.ok:
+                degrade(
+                    stage,
+                    "illegal_result",
+                    violations=len(report.violations),
+                    first=report.violations[:3],
+                )
+
         def save_stage(stage: str) -> None:
             completed.append(stage)
             if cfg.checkpoint_dir is None:
@@ -357,9 +372,8 @@ class NTUplace4H:
                 result.stage_seconds["legalize"] = time.perf_counter() - t
                 result.legal_result = legal_result
                 result.hpwl_legal = scored_hpwl()
-                result.legal = bool(
-                    legal_result is not None and legal_result.report.ok
-                )
+                if not cfg.run_dp:
+                    check_result("legal")
                 save_stage("legal")
 
             # -- detailed placement -------------------------------------
@@ -403,6 +417,7 @@ class NTUplace4H:
                     result.stage_seconds["detailed_place"] = (
                         time.perf_counter() - t
                     )
+                check_result("dp")
                 save_stage("dp")
 
             # -- routing / scoring --------------------------------------

@@ -52,8 +52,9 @@ COARSE_OVERFLOW_TARGET = 0.15  # looser: the fine levels do the precise work
 CLUSTER_LEVELS = 2  # how deep the V-cycle may recurse
 CLUSTER_MIN_NODES = 3000  # cluster only designs with this many movables
 COARSE_ITERATION_FRACTION = 0.5  # a coarse level's share of its parent's cap
-REFINE_ITERATION_FRACTION = 0.4  # the post-macro refine's share (16 of 40)
+REFINE_ITERATIONS = 16  # the post-macro refine's cap, whatever GP's budget
 REFINE_PATIENCE = 3  # refine iterations past its best overflow before it stops
+PLATEAU_INNER_ITERATIONS = 6  # CG iterations per outer iteration past GP's plateau
 
 
 @dataclass
@@ -129,10 +130,18 @@ class GlobalPlacer:
         ``refine=True`` runs the cells-only phase that follows macro
         legalization: it starts from the current positions, never
         clusters, holds the macros as fixed obstacles, runs no
-        orientation pass, and stops at ``REFINE_ITERATION_FRACTION`` of
-        ``max_outer_iterations``, at the overflow target, or once
-        ``REFINE_PATIENCE`` committed iterations have not lowered its
-        best overflow (the plateau stop; the last iterate is kept).
+        orientation pass, and stops after ``REFINE_ITERATIONS``, at the
+        overflow target, or once ``REFINE_PATIENCE`` committed
+        iterations have not lowered its best overflow (the plateau stop;
+        the last iterate is kept).
+
+        Any other phase (the flat level and each coarse level) runs to
+        ``max_outer_iterations`` or its overflow target, but from its
+        first committed iteration at or below
+        ``INFLATION_START_OVERFLOW`` that does not lower its best
+        overflow, each CG solve gets at most
+        ``PLATEAU_INNER_ITERATIONS``: a late outer iteration only
+        follows one λ step from a warm start.
 
         ``watchdog`` is an optional :class:`repro.resilience.StageWatchdog`;
         when its budget expires the outer loop winds down at the next
@@ -147,9 +156,14 @@ class GlobalPlacer:
 
         prefix = self.metric_prefix
         if refine:
-            cap = max(1, int(cfg.max_outer_iterations * REFINE_ITERATION_FRACTION))
             flat = self._place_flat(
-                design, report, cap, OVERFLOW_TARGET, prefix, refine=True, watchdog=watchdog
+                design,
+                report,
+                REFINE_ITERATIONS,
+                OVERFLOW_TARGET,
+                prefix,
+                refine=True,
+                watchdog=watchdog,
             )
         else:
             cap = cfg.max_outer_iterations
@@ -328,9 +342,11 @@ class GlobalPlacer:
         tracer = get_tracer()
         metrics = tracer.metrics
         orient = cfg.optimize_orientations and not refine
-        # The refine's plateau stop: its lowest overflow, where, and how
-        # many committed iterations have failed to beat it since.
+        # The phase's lowest overflow, where, and how many committed
+        # iterations have failed to beat it since: past it the refine
+        # stops and any other phase runs short CG solves.
         best_overflow, best_outer, stalled = float("inf"), -1, 0
+        inner = cfg.inner_iterations
         for outer in range(cap):
             with tracer.span(f"iter[{outer}]"):
                 if (
@@ -351,11 +367,13 @@ class GlobalPlacer:
                         arrays = design.pin_arrays()
                         wl_model.rebind(arrays)
 
+                if inner < cfg.inner_iterations:
+                    metrics.counter(prefix + ".plateau_short_cg").inc()
                 with tracer.span("cg"):
                     result = minimize_cg(
                         objective,
                         v,
-                        max_iter=cfg.inner_iterations,
+                        max_iter=inner,
                         step_init=step_init,
                         step_max=step_max,
                         project=project,
@@ -458,14 +476,14 @@ class GlobalPlacer:
                 break
             if overflow <= target:
                 break
-            if refine:
-                # Past its overflow minimum the refine only trades HPWL
-                # for overflow it does not win back; legalization and DP
-                # do the local cleanup.
-                if overflow < best_overflow:
-                    best_overflow, best_outer, stalled = overflow, outer, 0
-                else:
-                    stalled += 1
+            if overflow < best_overflow:
+                best_overflow, best_outer, stalled = overflow, outer, 0
+            else:
+                stalled += 1
+                if refine:
+                    # Past its overflow minimum the refine only trades
+                    # HPWL for overflow it does not win back;
+                    # legalization and DP do the local cleanup.
                     if stalled >= REFINE_PATIENCE:
                         metrics.counter(prefix + ".plateau_stops").inc()
                         tracer.event(
@@ -475,6 +493,22 @@ class GlobalPlacer:
                             best_overflow=best_overflow,
                         )
                         break
+                elif (
+                    overflow <= INFLATION_START_OVERFLOW
+                    and inner > PLATEAU_INNER_ITERATIONS
+                ):
+                    # GP's late iterations still spread inflated cells,
+                    # so it keeps going, but each only follows one λ
+                    # step: a short solve does.  The overflow gate keeps
+                    # a blip while cells first spread from tripping it.
+                    inner = PLATEAU_INNER_ITERATIONS
+                    tracer.event(
+                        "cg_budget",
+                        outer=outer,
+                        best_outer=best_outer,
+                        best_overflow=best_overflow,
+                        inner=inner,
+                    )
             state["lam"] *= LAMBDA_GROWTH
             if fence.active:
                 state["mu"] *= FENCE_WEIGHT_GROWTH

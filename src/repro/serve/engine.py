@@ -21,7 +21,12 @@ closes the engine's reliability loop:
   itself, and after another grace period it SIGKILLs the worker and
   marks the job cancelled.
 * **worker replacement** — dead workers are respawned so capacity is
-  constant.
+  constant.  A slot whose workers die young backs off: its next worker
+  starts no sooner than its respawn delay after the last one did.  The
+  delay starts at ``RESPAWN_DELAY_MIN``, doubles each time a worker
+  dies within it (up to ``RESPAWN_DELAY_MAX``), and resets once a
+  worker outlives it, so a worker that cannot start does not respawn
+  several times a second forever.
 
 On startup, jobs left ``running`` by a previous server process are
 requeued with the attempt refunded (``orphaned``).  On close, workers
@@ -45,6 +50,10 @@ from repro.serve.store import JobStore, JobStoreError
 from repro.serve.worker import worker_loop
 
 _log = get_logger("serve.engine")
+
+#: A worker slot's respawn delay, seconds: at first, and at most.
+RESPAWN_DELAY_MIN = 0.5
+RESPAWN_DELAY_MAX = 30.0
 
 
 @dataclass
@@ -111,6 +120,15 @@ class _CancelWatch:
     nudged: bool = False
 
 
+@dataclass
+class _Slot:
+    """One worker slot's respawn backoff."""
+
+    started: float  # time.monotonic() its current worker started at
+    delay: float = RESPAWN_DELAY_MIN
+    outlived: bool = False  # its current worker outlived ``delay``
+
+
 class WorkerSupervisor:
     """N queue-draining worker processes plus the reliability monitor."""
 
@@ -125,6 +143,7 @@ class WorkerSupervisor:
         # this process the workers' parent, as their orphan checks need.
         self._ctx = mp.get_context("spawn")
         self._procs: list = []
+        self._slots: list[_Slot] = []
         self._monitor: threading.Thread | None = None
         self._stop = threading.Event()
         self._cancels: dict[str, _CancelWatch] = {}
@@ -157,6 +176,7 @@ class WorkerSupervisor:
             self.requeues += 1
         for w in range(self.settings.workers):
             self._procs.append(self._spawn(w))
+            self._slots.append(_Slot(started=time.monotonic()))
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="serve-monitor", daemon=True
         )
@@ -207,6 +227,7 @@ class WorkerSupervisor:
             )
             self.requeues += 1
         self._procs = []
+        self._slots = []
 
     def drain(self, timeout: float | None = None) -> dict:
         """Graceful drain: stop claiming, wait for in-flight jobs.
@@ -382,12 +403,23 @@ class WorkerSupervisor:
     def _respawn_dead_workers(self) -> None:
         if self._draining:
             return  # capacity is winding down; do not replace workers
+        now = time.monotonic()
         for i, proc in enumerate(self._procs):
-            if not proc.is_alive():
-                proc.join(timeout=0.1)
-                self._procs[i] = self._spawn(i)
-                self.respawns += 1
-                _log.warning(
-                    "worker %d (pid %s) died; respawned as pid %d",
-                    i, proc.pid, self._procs[i].pid,
-                )
+            slot = self._slots[i]
+            if proc.is_alive():
+                if not slot.outlived and now - slot.started >= slot.delay:
+                    slot.outlived = True
+                    slot.delay = RESPAWN_DELAY_MIN
+                continue
+            if not slot.outlived and now < slot.started + slot.delay:
+                continue  # died young: wait out the slot's delay
+            proc.join(timeout=0.1)
+            self._procs[i] = self._spawn(i)
+            self.respawns += 1
+            _log.warning(
+                "worker %d (pid %s) died; respawned as pid %d",
+                i, proc.pid, self._procs[i].pid,
+            )
+            if not slot.outlived:
+                slot.delay = min(2.0 * slot.delay, RESPAWN_DELAY_MAX)
+            slot.started, slot.outlived = time.monotonic(), False

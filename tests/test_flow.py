@@ -3,10 +3,10 @@
 import pytest
 
 from repro.benchgen import BenchmarkSpec, make_benchmark
-from repro.dp import DPConfig
+from repro.dp import DetailedPlacer, DPConfig
 from repro.flow import FlowConfig, NTUplace4H, wirelength_driven_flow
-from repro.gp.placer import REFINE_PATIENCE
-from repro.legal import check_legal
+from repro.gp.placer import REFINE_ITERATIONS, REFINE_PATIENCE
+from repro.legal import Legalizer, check_legal
 from repro.obs import Tracer, use_tracer
 
 
@@ -64,10 +64,10 @@ class TestFlow:
             assert key in row
 
     def test_refine_takes_its_share_of_the_gp_budget(self):
-        # The post-macro refine is a GP phase capped at
-        # REFINE_ITERATION_FRACTION of max_outer_iterations:
-        # int(10 * 0.4) = 4.  This dense design never meets the overflow
-        # target early, so a cap of its own (16) would show.
+        # The post-macro refine's cap is REFINE_ITERATIONS whatever
+        # max_outer_iterations is, so a 10-iteration budget's refine may
+        # run past int(10 * 0.4) = 4; its plateau stop or the target
+        # ends it before the cap.
         d = bench(utilization=0.8)
         cfg = fast_flow()
         cfg.gp.max_outer_iterations = 10
@@ -75,12 +75,12 @@ class TestFlow:
         with use_tracer(Tracer()) as tracer:
             NTUplace4H(cfg).run(d, route=False)
         assert len(tracer.metrics.samples("gp.hpwl")) == 10
-        assert len(tracer.metrics.samples("gp.refine.hpwl")) == 4
+        assert 4 < len(tracer.metrics.samples("gp.refine.hpwl")) <= REFINE_ITERATIONS
 
     def test_refine_stops_at_its_overflow_plateau(self):
-        # A budget of 25 caps the refine at int(25 * 0.4) = 10; this
-        # dense design's refine overflow bottoms out above the target
-        # and stops REFINE_PATIENCE iterations later.  GP keeps its 25.
+        # This dense design's refine overflow bottoms out above the
+        # target and stops REFINE_PATIENCE iterations later, before 10
+        # of its REFINE_ITERATIONS.  GP keeps its budget of 25.
         d = bench(utilization=0.8)
         cfg = fast_flow()
         cfg.gp.max_outer_iterations = 25
@@ -145,6 +145,77 @@ class TestFlow:
         cfg.gp.whitespace_reservation = False
         res = NTUplace4H(cfg).run(d, route=False)
         assert res.legal
+
+
+class TestFlowEndAudit:
+    """The flow audits its final placement itself: a stage that breaks
+    a legal placement leaves the result illegal and degraded."""
+
+    @staticmethod
+    def corrupt_after(monkeypatch, stage_cls, method, corrupt):
+        # Run the real stage, then break its placement before the audit.
+        original = getattr(stage_cls, method)
+
+        def wrapped(self, design, *args, **kwargs):
+            out = original(self, design, *args, **kwargs)
+            corrupt(design)
+            return out
+
+        monkeypatch.setattr(stage_cls, method, wrapped)
+
+    def test_overlap_after_dp_degrades(self, monkeypatch):
+        def overlap(design):
+            # Stack the second cell of the lowest row onto the first.
+            cells = sorted(
+                (n for n in design.nodes if n.is_movable and n.region is None),
+                key=lambda n: (n.y, n.x),
+            )
+            a, b = cells[0], cells[1]
+            assert a.y == b.y
+            b.x = a.x
+
+        self.corrupt_after(monkeypatch, DetailedPlacer, "run", overlap)
+        d = bench(seed=64)
+        res = NTUplace4H(fast_flow()).run(d, route=False)
+        assert not res.legal and res.degraded
+        (entry,) = [e for e in res.degradation if e["reason"] == "illegal_result"]
+        assert entry["stage"] == "dp"
+        assert entry["violations"] == len(check_legal(d).violations) >= 1
+        assert entry["first"][0].startswith("overlap:")
+
+    def test_fence_escape_after_legalization_degrades(self, monkeypatch):
+        def escape(design):
+            # Move one fenced cell to the core's lower-left site, which
+            # lies outside its fence.
+            cell = next(n for n in design.nodes if n.is_movable and n.region is not None)
+            region = design.regions[cell.region]
+            core = design.core
+            cell.x, cell.y = core.xl, design.rows[0].y
+            assert not region.contains_rect(cell.rect)
+
+        self.corrupt_after(monkeypatch, Legalizer, "legalize", escape)
+        d = bench(seed=66, num_cells=400, num_fences=1, fence_level=1)
+        cfg = fast_flow()
+        cfg.run_dp = False
+        res = NTUplace4H(cfg).run(d, route=False)
+        assert not res.legal and res.degraded
+        (entry,) = [e for e in res.degradation if e["reason"] == "illegal_result"]
+        assert entry["stage"] == "legal"
+        assert any("outside fence" in v for v in entry["first"])
+
+    def test_legal_result_is_audited_once(self, monkeypatch):
+        from repro.flow import ntuplace4h
+
+        audits = []
+
+        def counted(design):
+            audits.append(design.name)
+            return check_legal(design)
+
+        monkeypatch.setattr(ntuplace4h, "check_legal", counted)
+        res = NTUplace4H(fast_flow()).run(bench(seed=62), route=False)
+        assert res.legal and not res.degraded
+        assert audits == ["f"]
 
 
 class TestMetricsReport:

@@ -41,13 +41,13 @@ from tests.reference.gp import (
 #: after placement).
 SUITE_QUALITY = {
     "rh02": {
-        "hpwl": 40523.73983530458,
-        "overflow": 0.1523244339110248,
+        "hpwl": 40873.43387206107,
+        "overflow": 0.14229218454207823,
         "gp_iterations": 40,
     },
     "rh04": {
-        "hpwl": 150566.48277246804,
-        "overflow": 0.11760649492230033,
+        "hpwl": 145318.9258797709,
+        "overflow": 0.1213357534566375,
         "gp_iterations": 40,
     },
 }

@@ -108,12 +108,12 @@ class TestFences:
         macro_pos = {
             n.index: (n.x, n.y) for n in d.nodes if n.kind is NodeKind.MACRO
         }
-        # The refine phase holds the macros still; 10 outer iterations of
-        # budget give it int(10 * 0.4) = 4.
+        # The refine phase holds the macros still; its cap is
+        # REFINE_ITERATIONS whatever the budget.
         report = GlobalPlacer(fast_cfg(max_outer_iterations=10)).place(
             d, refine=True
         )
-        assert 1 <= report.num_iterations <= 4
+        assert 1 <= report.num_iterations <= placer_mod.REFINE_ITERATIONS
         for idx, (x, y) in macro_pos.items():
             assert (d.nodes[idx].x, d.nodes[idx].y) == pytest.approx((x, y))
 
@@ -165,14 +165,91 @@ class TestRefinePlateau:
         assert "gp.plateau_stops" not in tracer.metrics.snapshot()["counters"]
 
     def test_gp_phase_runs_past_its_overflow_plateau(self):
-        # refine=False keeps the schedule: this design's overflow stops
-        # falling long before the cap, and GP still runs to the cap.
+        # refine=False keeps the λ schedule: this design's overflow stops
+        # falling long before the cap, and GP still runs to the cap, with
+        # short CG solves from its first stall at or below
+        # INFLATION_START_OVERFLOW.
         d = bench(utilization=0.8)
         report = GlobalPlacer(fast_cfg(max_outer_iterations=30)).place(d)
         ovfl = [it.overflow for it in report.iterations]
         assert len(ovfl) == 30
         assert ovfl.index(min(ovfl)) + placer_mod.REFINE_PATIENCE < 29
         assert min(ovfl) > placer_mod.OVERFLOW_TARGET
+        stall = first_stall(ovfl)
+        assert stall < 29
+        assert all(
+            it.cg_iters <= placer_mod.PLATEAU_INNER_ITERATIONS
+            for it in report.iterations[stall + 1:]
+        )
+
+
+def first_stall(ovfl):
+    """The first outer iteration at or below INFLATION_START_OVERFLOW
+    that does not lower the best overflow before it."""
+    return next(
+        i
+        for i in range(1, len(ovfl))
+        if ovfl[i] <= placer_mod.INFLATION_START_OVERFLOW
+        and ovfl[i] >= min(ovfl[:i])
+    )
+
+
+def digest(design):
+    return [(n.x, n.y, n.orientation) for n in design.nodes]
+
+
+class TestPlateauCGBudget:
+    """From GP's first stall at or below INFLATION_START_OVERFLOW, each
+    CG solve runs at most PLATEAU_INNER_ITERATIONS iterations."""
+
+    @staticmethod
+    def run(utilization, monkeypatch=None):
+        # ``monkeypatch`` given: a plateau budget no lower than the
+        # configured one, so no CG solve is ever shortened.
+        cfg = fast_cfg(max_outer_iterations=30)
+        if monkeypatch is not None:
+            monkeypatch.setattr(
+                placer_mod, "PLATEAU_INNER_ITERATIONS", cfg.inner_iterations
+            )
+        d = bench(utilization=utilization)
+        with use_tracer(Tracer()) as tracer:
+            report = GlobalPlacer(cfg).place(d)
+        return d, report, tracer
+
+    def test_iterations_before_the_stall_are_unchanged(self, monkeypatch):
+        budget = placer_mod.PLATEAU_INNER_ITERATIONS
+        _, short, _ = self.run(0.8)
+        _, full, _ = self.run(0.8, monkeypatch)
+        ovfl = [it.overflow for it in short.iterations]
+        stall = first_stall(ovfl)
+        assert short.iterations[: stall + 1] == full.iterations[: stall + 1]
+        # Past the stall the configured budget still runs long solves.
+        assert max(it.cg_iters for it in full.iterations[stall + 1:]) > budget
+
+    def test_design_without_a_stall_places_bit_identically(self, monkeypatch):
+        d_short, short, tracer = self.run(0.6)
+        d_full, _, _ = self.run(0.6, monkeypatch)
+        ovfl = [it.overflow for it in short.iterations]
+        # Overflow falls to the target and never stalls on the way.
+        assert ovfl[-1] <= placer_mod.OVERFLOW_TARGET
+        assert all(b < a for a, b in zip(ovfl, ovfl[1:]))
+        assert digest(d_short) == digest(d_full)
+        assert not [e for e in tracer.events() if e.name == "cg_budget"]
+        assert "gp.plateau_short_cg" not in tracer.metrics.snapshot()["counters"]
+
+    def test_traced_run_records_the_budget_drop(self):
+        _, report, tracer = self.run(0.8)
+        ovfl = [it.overflow for it in report.iterations]
+        stall = first_stall(ovfl)
+        (evt,) = [e for e in tracer.events() if e.name == "cg_budget"]
+        assert evt.attrs == {
+            "outer": stall,
+            "best_outer": ovfl.index(min(ovfl[:stall])),
+            "best_overflow": min(ovfl[:stall]),
+            "inner": placer_mod.PLATEAU_INNER_ITERATIONS,
+        }
+        counters = tracer.metrics.snapshot()["counters"]
+        assert counters["gp.plateau_short_cg"] == len(ovfl) - stall - 1
 
 
 class TestWirelengthModels:

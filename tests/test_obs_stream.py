@@ -229,8 +229,10 @@ class TestFlowStreaming:
         assert "legal" in dump[0]["reason"]
         assert dump[0]["buffered"] == len(dump) - 1
         assert len(dump) - 1 <= 64
-        # The tail of the run is in the buffer: recent GP spans.
-        assert any(r.get("type") == "span" and "gp" in r.get("path", "")
+        # The tail of the run is in the buffer: recent spans of the
+        # refine, the GP phase that runs last.
+        assert any(r.get("type") == "span"
+                   and "macro_legal_refine/refine" in r.get("path", "")
                    for r in dump)
 
 

@@ -43,17 +43,17 @@ from tests.quality import assert_quality
 #: are hybrid minus router.
 SUITE_QUALITY = {
     "rh04": {
-        "hpwl": 150461.6290091662,
-        "overflow": 0.10756727384036205,
+        "hpwl": 143334.5343641018,
+        "overflow": 0.11092246940721581,
         "gp_iterations": 40,
         "predict_router_rounds": 5,
         "predict_predictor_rounds": 15,
         "predict_fallbacks": 0,
-        "predict_final_drift": 0.33755279721499465,
+        "predict_final_drift": 0.32359624659001457,
         "predict_val_mse": 0.11555089878679196,
         "predict_train_samples": 9216,
-        "predict_hpwl_rel_delta": -0.004203353512612207,
-        "predict_overflow_delta": 0.004602906863051329,
+        "predict_hpwl_rel_delta": 0.05360088639582416,
+        "predict_overflow_delta": -0.013728604980227294,
     },
 }
 

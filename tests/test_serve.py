@@ -453,7 +453,12 @@ class TestBuildFlowConfig:
         run_job(store, record, settings={})
         final = store.get(record["job_id"])
         assert final["state"] == "done"
-        assert final["result"]["degradation"] == []
+        # No budget ran out.  SPEC's two fixed blocks overlap as
+        # generated, so the flow-end audit finds the result illegal.
+        assert final["result"]["degradation"] == [
+            {"stage": "dp", "reason": "illegal_result", "violations": 1,
+             "first": ["overlap: blk1 x blk0"]}
+        ]
 
     @pytest.mark.parametrize(
         "override",
@@ -641,12 +646,29 @@ class TestServeEngine:
         assert final["state"] == "done"
         assert final["attempts"] == 1
 
+    def test_worker_that_cannot_start_respawns_with_backoff(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker slot whose workers die at once backs off: respawns
+        wait out a delay that doubles from RESPAWN_DELAY_MIN."""
+        from repro.serve import engine
+
+        # ``slice`` takes the worker's three arguments and returns: the
+        # spawned process exits as soon as it starts.
+        monkeypatch.setattr(engine, "worker_loop", slice)
+        with WorkerSupervisor(tmp_path / "serve", fast_settings()) as sup:
+            time.sleep(2.0)
+            respawns = sup.respawns
+        assert 1 <= respawns <= 4
+
     def test_respawned_workers_start_while_sqlite_is_busy(self, tmp_path):
         """Respawns happen on the monitor thread while other threads of
         the supervisor's process use SQLite (HTTP handlers in ``repro
         serve``).  A worker forked while one of them holds an SQLite
         mutex would hang in its first connect and never claim; every
         respawned worker must claim the job within a fixed bound."""
+        from repro.serve import engine
+
         root = tmp_path / "serve"
         store = JobStore(root)
         # Big enough that no attempt finishes in the ~0.1 s between its
@@ -677,6 +699,10 @@ class TestServeEngine:
                         timeout=30,
                     )
                     killed = claimed["worker"]
+                    # Let the worker outlive its slot's respawn delay, or
+                    # the kills would be a crash loop the supervisor
+                    # backs off from.
+                    time.sleep(engine.RESPAWN_DELAY_MIN + 0.3)
                     os.kill(killed, signal.SIGKILL)
             finally:
                 stop.set()
